@@ -1,11 +1,13 @@
 """Command-language dynamic semantics and the tandem driver.
 
-Dynamic expressions extend expressions with ``entered`` blocks (the runtime
-residue of an enter) and a distinguished Failure state.  Each step picks the
-innermost redex, synthesizes its effect, and advances the region machine
-with the same effect.  At the two nondeterministic points (enter vs
-badenter, cast vs nocast) the driver asks the region machine which branch
-is enabled.
+The command machine is an environment machine: a control expression, an
+environment renaming its free source names to fresh runtime names, and a
+continuation stack of let frames and entered frames (an entered frame is
+an open region awaiting its exit).  A failed enter unwinds the stack to
+the entered frames, which collapse one step each.  Each step reduces one
+redex, synthesizes its effect, and advances the region machine with the
+same effect.  At the two nondeterministic points (enter vs badenter, cast
+vs nocast) the driver asks the region machine which branch is enabled.
 """
 from __future__ import annotations
 
@@ -19,20 +21,6 @@ from .machine import (BadEnter, Bind, CastEff, Effect, EnterEff, Eps,
                       NoCastEff, Salloc, Stuck, Swap)
 from .syntax import (Assign, Call, Deref, Enter, Expr, Freeze, Let, LVal,
                      Merge, New, Program, TypeTest, Use, VarAlloc)
-
-
-@dataclass(frozen=True)
-class Entered:
-    """entered y.f w.val { body } — an open region awaiting its exit."""
-
-    target: LVal
-    bridge: str
-    body: "DynExpr"
-    pos: tuple[int, int] = (0, 0)
-
-    def __str__(self) -> str:
-        return (f"entered {self.target} {self.bridge}.val "
-                f"{{ {self.body} }}")
 
 
 class _Failure:
@@ -49,73 +37,6 @@ class _Failure:
 
 FAILURE = _Failure()
 
-DynExpr = object  # Expr | Let-with-Entered | FAILURE
-
-
-def contains_dyn(e) -> bool:
-    if e is FAILURE or isinstance(e, Entered):
-        return True
-    if isinstance(e, Let):
-        return contains_dyn(e.binding)
-    return False
-
-
-# ---------------------------------------------------------------------------
-# Substitution (all replacement names are globally fresh)
-# ---------------------------------------------------------------------------
-
-def subst_use(u: Use, m: dict[str, str]) -> Use:
-    if u.name in m:
-        return replace(u, name=m[u.name])
-    return u
-
-
-def subst_lval(lv: LVal, m: dict[str, str]) -> LVal:
-    if lv.name in m:
-        return replace(lv, name=m[lv.name])
-    return lv
-
-
-def subst(e, m: dict[str, str]):
-    """Rename free variables of e per m (capture-avoiding because all
-    substituted names are fresh)."""
-    if not m:
-        return e
-    if e is FAILURE:
-        return e
-    if isinstance(e, Use):
-        return subst_use(e, m)
-    if isinstance(e, Deref):
-        return replace(e, target=subst_lval(e.target, m))
-    if isinstance(e, Assign):
-        return replace(e, target=subst_lval(e.target, m),
-                       use=subst_use(e.use, m))
-    if isinstance(e, VarAlloc):
-        return replace(e, use=subst_use(e.use, m))
-    if isinstance(e, (New, Call)):
-        return replace(e, args=tuple(subst_use(u, m) for u in e.args))
-    if isinstance(e, (Freeze, Merge)):
-        return replace(e, use=subst_use(e.use, m))
-    if isinstance(e, Let):
-        inner = {k: v for k, v in m.items() if k != e.name}
-        return replace(e, binding=subst(e.binding, m),
-                       body=subst(e.body, inner))
-    if isinstance(e, TypeTest):
-        inner = {k: v for k, v in m.items() if k != e.binder}
-        return replace(e, use=subst_use(e.use, m),
-                       then=subst(e.then, inner), els=subst(e.els, inner))
-    if isinstance(e, Enter):
-        captures = tuple((y, subst_use(u, m)) for y, u in e.captures)
-        bound = {y for y, _ in e.captures} | {e.binder}
-        inner = {k: v for k, v in m.items() if k not in bound}
-        return replace(e, target=subst_lval(e.target, m), captures=captures,
-                       body=subst(e.body, inner))
-    if isinstance(e, Entered):
-        inner = {k: v for k, v in m.items() if k != e.bridge}
-        return replace(e, target=subst_lval(e.target, m),
-                       body=subst(e.body, inner))
-    raise AssertionError(f"unhandled node {e!r}")
-
 
 class FreshNames:
     def __init__(self) -> None:
@@ -126,40 +47,83 @@ class FreshNames:
         return f"{base.split('$')[0]}${self.counter}"
 
 
-def alpha_rename(e: Expr, names: FreshNames,
-                 m: dict[str, str]) -> Expr:
-    """Rename every binder in e to a fresh name, applying m to free uses."""
-    if isinstance(e, Use):
-        return subst_use(e, m)
-    if isinstance(e, (Deref, Assign, VarAlloc, New, Call, Freeze, Merge)):
-        return subst(e, m)
-    if isinstance(e, Let):
-        binding = alpha_rename(e.binding, names, m)
-        x2 = names.fresh(e.name)
-        inner = dict(m)
-        inner[e.name] = x2
-        return replace(e, name=x2, binding=binding,
-                       body=alpha_rename(e.body, names, inner))
-    if isinstance(e, TypeTest):
-        y2 = names.fresh(e.binder)
-        inner = dict(m)
-        inner[e.binder] = y2
-        return replace(e, use=subst_use(e.use, m), binder=y2,
-                       then=alpha_rename(e.then, names, inner),
-                       els=alpha_rename(e.els, names, inner))
-    if isinstance(e, Enter):
-        captures = []
-        inner = dict(m)
-        for y, u in e.captures:
-            y2 = names.fresh(y)
-            captures.append((y2, subst_use(u, m)))
-            inner[y] = y2
-        z2 = names.fresh(e.binder)
-        inner[e.binder] = z2
-        return replace(e, target=subst_lval(e.target, m),
-                       captures=tuple(captures), binder=z2,
-                       body=alpha_rename(e.body, names, inner))
-    raise AssertionError(f"unhandled node {e!r}")
+# ---------------------------------------------------------------------------
+# Renaming through an environment (source name -> runtime name)
+# ---------------------------------------------------------------------------
+
+def rename_use(u: Use, env: dict[str, str]) -> Use:
+    if u.name in env:
+        return replace(u, name=env[u.name])
+    return u
+
+
+def rename_lval(lv: LVal, env: dict[str, str]) -> LVal:
+    if lv.name in env:
+        return replace(lv, name=env[lv.name])
+    return lv
+
+
+def rename(b: Expr, env: dict[str, str]) -> Expr:
+    """A binder-free binding with its names renamed per env."""
+    if isinstance(b, Use):
+        return rename_use(b, env)
+    if isinstance(b, Deref):
+        return replace(b, target=rename_lval(b.target, env))
+    if isinstance(b, Assign):
+        return replace(b, target=rename_lval(b.target, env),
+                       use=rename_use(b.use, env))
+    if isinstance(b, (VarAlloc, Freeze, Merge)):
+        return replace(b, use=rename_use(b.use, env))
+    if isinstance(b, New):
+        return replace(b, args=tuple(rename_use(u, env) for u in b.args))
+    raise AssertionError(f"unhandled node {b!r}")
+
+
+def binder_count(e: Expr) -> int:
+    """The binders in e: lets, typetest binders, enter captures and binders.
+
+    A call advances the fresh-name counter by this much, as renaming the
+    callee's body apart at the call would, so that every later fresh name
+    keeps its number."""
+    n = 0
+    work = [e]
+    while work:
+        x = work.pop()
+        if isinstance(x, Let):
+            n += 1
+            work += (x.binding, x.body)
+        elif isinstance(x, TypeTest):
+            n += 1
+            work += (x.then, x.els)
+        elif isinstance(x, Enter):
+            n += len(x.captures) + 1
+            work.append(x.body)
+    return n
+
+
+# ---------------------------------------------------------------------------
+# Continuation frames
+# ---------------------------------------------------------------------------
+
+@dataclass(slots=True)
+class LetFrame:
+    """let name = [ ] in body: a let whose binding is being evaluated."""
+
+    name: str
+    body: Expr
+    env: dict[str, str]
+
+
+@dataclass(slots=True)
+class EnteredFrame:
+    """let name = entered target bridge.val { [ ] } in body: an open region
+    awaiting its exit; target is already renamed."""
+
+    name: str
+    body: Expr
+    env: dict[str, str]
+    target: LVal
+    bridge: str
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +224,12 @@ class RunResult:
 
 
 class TandemRunner:
-    """Advances the command and region machines with one agreed effect."""
+    """Advances the command and region machines with one agreed effect.
+
+    The command machine's state is a control expression, the environment
+    ``env`` that renames its free source names to runtime names, and a
+    stack of continuation frames.  The control is a source subexpression
+    and is never rewritten, so a step costs O(arguments of the redex)."""
 
     def __init__(self, prog: Program, check: str = "off",
                  budget: int = 100_000,
@@ -273,7 +242,10 @@ class TandemRunner:
         self.machine = Machine(prog.classes, bugs)
         self.observer = observer
         self.names = FreshNames()
-        self.de: DynExpr = prog.main
+        self.control: Expr | _Failure = prog.main
+        self.env: dict[str, str] = {}
+        self.stack: list[LetFrame | EnteredFrame] = []
+        self._binders: dict[str, int] = {}
         self.steps = 0
         self._checking = check in ("final", "each-step")
         if self._checking:
@@ -284,106 +256,136 @@ class TandemRunner:
 
     # -- redex selection ---------------------------------------------------------
 
-    def _step_dyn(self, de) -> tuple[Effect, DynExpr]:
-        if isinstance(de, Let):
-            b = de.binding
-            if isinstance(b, Entered):
-                if isinstance(b.body, Use):
-                    x2 = self.names.fresh(de.name)
-                    fld = b.target.fld if b.target.fld is not None else "val"
-                    eff = ExitEff(x2, b.body, b.target.name, fld,
-                                  b.bridge, "val")
-                    return eff, subst(de.body, {de.name: x2})
-                if b.body is FAILURE:
-                    return Eps(), FAILURE
-                eff, inner = self._step_dyn(b.body)
-                if inner is FAILURE and isinstance(eff, (Eps, BadEnter)):
-                    # cmd-ec-fail will collapse on the next step; keep the
-                    # Failure inside so nesting stays consistent.
-                    pass
-                return eff, replace(de, binding=replace(b, body=inner))
-            if isinstance(b, Enter):
-                return self._step_enter(de, b)
-            if isinstance(b, TypeTest):
-                eff, chosen = self._step_typetest(b)
-                return eff, replace(de, binding=chosen)
-            if isinstance(b, Call):
-                return self._step_call(de, b)
-            if isinstance(b, Let):
-                # Re-associate: let x = (let y = b2 in e2) in e
-                y2 = self.names.fresh(b.name)
-                rotated = Let(y2, b.binding,
-                              Let(de.name, subst(b.body, {b.name: y2}),
-                                  de.body, de.pos), b.pos)
-                return self._step_dyn(rotated)
-            if isinstance(b, TypeTest | Enter):  # pragma: no cover
-                raise AssertionError
-            x2 = self.names.fresh(de.name)
-            eff = synth_effect(x2, b)
-            return eff, subst(de.body, {de.name: x2})
-        if isinstance(de, TypeTest):
-            eff, chosen = self._step_typetest(de)
-            return eff, chosen
-        raise Stuck(f"no step for {de!r}")
+    def _step(self) -> Effect:
+        """Move to the next redex and reduce it; returns its effect.
 
-    def _step_enter(self, de: Let, b: Enter) -> tuple[Effect, DynExpr]:
-        fld = b.target.fld if b.target.fld is not None else "val"
-        if not self.machine.enter_enabled(b.target.name, fld):
-            return BadEnter(b.target.name, fld), FAILURE
-        mapping: dict[str, str] = {}
+        Fresh names are allocated in the order of the substituting
+        semantics: a let reached with a let frame on top is where that
+        semantics re-associates the nested lets, which costs one name."""
+        names, stack = self.names, self.stack
+        while True:
+            c = self.control
+            if isinstance(c, Let):
+                if stack and type(stack[-1]) is LetFrame:
+                    names.fresh(c.name)
+                b = c.binding
+                if isinstance(b, (Let, TypeTest)):
+                    stack.append(LetFrame(c.name, c.body, dict(self.env)))
+                    self.control = b
+                    continue
+                if isinstance(b, Call):
+                    return self._step_call(c, b)
+                if isinstance(b, Enter):
+                    return self._step_enter(c, b)
+                x2 = names.fresh(c.name)
+                eff = synth_effect(x2, rename(b, self.env))
+                self.env[c.name] = x2
+                self.control = c.body
+                return eff
+            if isinstance(c, TypeTest):
+                return self._step_typetest(c)
+            if isinstance(c, Use):
+                return self._step_return(c)
+            if c is FAILURE:
+                # One Eps step collapses each entered frame.
+                stack.pop()
+                self._unwind()
+                return Eps()
+            raise Stuck(f"no step for {c!r}")
+
+    def _step_return(self, u: Use) -> Effect:
+        """The value of the top frame's hole is u: bind it or exit."""
+        frame = self.stack.pop()
+        x2 = self.names.fresh(frame.name)
+        u = rename_use(u, self.env)
+        if type(frame) is LetFrame:
+            eff = synth_effect(x2, u)
+        else:
+            t = frame.target
+            fld = t.fld if t.fld is not None else "val"
+            eff = ExitEff(x2, u, t.name, fld, frame.bridge, "val")
+        self.env = frame.env
+        self.env[frame.name] = x2
+        self.control = frame.body
+        return eff
+
+    def _unwind(self) -> None:
+        """Drop the let frames above the nearest entered frame."""
+        stack = self.stack
+        while stack and type(stack[-1]) is LetFrame:
+            stack.pop()
+
+    def _step_enter(self, c: Let, b: Enter) -> Effect:
+        env = self.env
+        target = rename_lval(b.target, env)
+        fld = target.fld if target.fld is not None else "val"
+        if not self.machine.enter_enabled(target.name, fld):
+            self.control = FAILURE
+            self._unwind()
+            return BadEnter(target.name, fld)
+        inner = dict(env)
         captures = []
         for y, u in b.captures:
             y2 = self.names.fresh(y)
-            mapping[y] = y2
-            captures.append((y2, u))
+            inner[y] = y2
+            captures.append((y2, rename_use(u, env)))
         w2 = self.names.fresh(b.binder)
-        mapping[b.binder] = w2
-        body = subst(b.body, mapping)
-        cap = Cap.TMP if b.target.fld is not None else Cap.VAR
-        eff = EnterEff(w2, cap, b.target.name, fld, tuple(captures))
-        ent = Entered(b.target, w2, body, b.pos)
-        return eff, replace(de, binding=ent)
+        inner[b.binder] = w2
+        self.stack.append(EnteredFrame(c.name, c.body, env, target, w2))
+        self.env = inner
+        self.control = b.body
+        cap = Cap.TMP if target.fld is not None else Cap.VAR
+        return EnterEff(w2, cap, target.name, fld, tuple(captures))
 
-    def _step_typetest(self, b: TypeTest) -> tuple[Effect, Expr]:
+    def _step_typetest(self, b: TypeTest) -> Effect:
         y2 = self.names.fresh(b.binder)
-        if self.machine.cast_matches(b.use.name, b.ty):
-            eff: Effect = CastEff(y2, b.use, b.ty)
-            chosen = subst(b.then, {b.binder: y2})
+        u = rename_use(b.use, self.env)
+        if self.machine.cast_matches(u.name, b.ty):
+            eff: Effect = CastEff(y2, u, b.ty)
+            self.control = b.then
         else:
-            eff = NoCastEff(y2, b.use, b.ty)
-            chosen = subst(b.els, {b.binder: y2})
-        return eff, chosen
+            eff = NoCastEff(y2, u, b.ty)
+            self.control = b.els
+        self.env[b.binder] = y2
+        return eff
 
-    def _step_call(self, de: Let, b: Call) -> tuple[Effect, DynExpr]:
+    def _step_call(self, c: Let, b: Call) -> Effect:
         sig = self.prog.functions.lookup(b.fn)
         pairs = []
-        mapping: dict[str, str] = {}
+        env: dict[str, str] = {}
         for (pname, _), arg in zip(sig.params, b.args):
             p2 = self.names.fresh(pname)
-            mapping[pname] = p2
-            pairs.append((p2, arg))
-        body = alpha_rename(sig.body, self.names, mapping)
-        return Bind(tuple(pairs)), replace(de, binding=body)
+            env[pname] = p2
+            pairs.append((p2, rename_use(arg, self.env)))
+        if b.fn not in self._binders:
+            self._binders[b.fn] = binder_count(sig.body)
+        self.names.counter += self._binders[b.fn]
+        self.stack.append(LetFrame(c.name, c.body, self.env))
+        self.env = env
+        self.control = sig.body
+        return Bind(tuple(pairs))
 
     # -- driving -------------------------------------------------------------------
 
     def run(self) -> RunResult:
         from .invariants import check_config_wf, check_effect_wf
         while True:
-            if isinstance(self.de, Use):
-                if self.check == "final":
-                    report = check_config_wf(self.gammas, self.machine)
-                    if not report["verdict"]:
-                        return RunResult(Verdict.VIOLATION, self.steps,
-                                         "final state ill-formed", report)
-                return RunResult(Verdict.DONE, self.steps,
-                                 str(self.de))
-            if self.de is FAILURE:
-                return RunResult(Verdict.FAILED, self.steps, "badenter")
+            if not self.stack:
+                if isinstance(self.control, Use):
+                    if self.check == "final":
+                        report = check_config_wf(self.gammas, self.machine)
+                        if not report["verdict"]:
+                            return RunResult(Verdict.VIOLATION, self.steps,
+                                             "final state ill-formed",
+                                             report)
+                    return RunResult(Verdict.DONE, self.steps,
+                                     str(rename_use(self.control, self.env)))
+                if self.control is FAILURE:
+                    return RunResult(Verdict.FAILED, self.steps, "badenter")
             if self.steps >= self.budget:
                 return RunResult(Verdict.BUDGET, self.steps)
             try:
-                eff, succ = self._step_dyn(self.de)
+                eff = self._step()
             except Stuck as exc:
                 return RunResult(Verdict.STUCK, self.steps,
                                  f"command machine: {exc}")
@@ -410,4 +412,3 @@ class TandemRunner:
                                          "invariant violation", report)
             if self.observer is not None:
                 self.observer(self.steps, eff, verdict_ok)
-            self.de = succ

@@ -177,6 +177,21 @@ def _violation(predicate: str, clause: str, refs: list[Ref],
             "regions": sorted(set(regions))}
 
 
+# Reports list refs and violations in these orders, not in the hash order
+# of the graph's ref set, so that they read the same in every process.
+
+def _loc_key(loc: Loc) -> tuple:
+    return (type(loc).__name__, loc.r, getattr(loc, "iota", -1))
+
+
+def _ref_key(ref: Ref) -> tuple:
+    return (_loc_key(ref.src), ref.name, ref.cap.value, _loc_key(ref.dst))
+
+
+def _violation_key(v: dict) -> tuple:
+    return (v["predicate"], v["clause"], v["refs"], v["regions"])
+
+
 def capability_ok(rho: RegionOrder, cl: set[int], fr: set[int],
                   g: ConfigGraph) -> tuple[bool, list[dict]]:
     violations: list[dict] = []
@@ -196,7 +211,10 @@ def capability_ok(rho: RegionOrder, cl: set[int], fr: set[int],
         if indegree[loc] > 1:
             violations.append(_violation(
                 "var_unique", "var target has in-degree > 1",
-                [r for r in g.refs if r.dst == loc], [loc_region(loc)]))
+                sorted((r for r in g.refs if r.dst == loc), key=_ref_key),
+                [loc_region(loc)]))
+    if violations:
+        violations.sort(key=_violation_key)
     return not violations, violations
 
 
@@ -283,7 +301,7 @@ def topology_ok(rho: RegionOrder, fr: set[int], g: ConfigGraph,
         if len(refs) > 1:
             violations.append(_violation(
                 "topology_ok", "two external references into one region",
-                refs[:4], [rd]))
+                sorted(refs, key=_ref_key)[:4], [rd]))
     if entries is not None:
         by_iota = {}
         for loc in g.locs:
@@ -305,6 +323,8 @@ def topology_ok(rho: RegionOrder, fr: set[int], g: ConfigGraph,
                     f"missing Root({r_below}) -> loc -> Heap({r_above}) "
                     f"chain via field {f}",
                     [], [r_below, r_above]))
+    if violations:
+        violations.sort(key=_violation_key)
     return not violations, violations
 
 

@@ -26,11 +26,13 @@ from __future__ import annotations
 
 import string
 from dataclasses import dataclass, field
+from typing import Callable, Iterator, TypeVar
 
 from .model import (Cap, CapType, CellHead, ClassName, FunSig, Type,
                     UnionType, ClassTable, FunctionTable)
 
 Pos = tuple[int, int]  # (line, col), 1-based
+T = TypeVar("T")
 
 
 class ParseError(Exception):
@@ -227,8 +229,8 @@ class Token:
     pos: Pos
 
 
-def tokenize(src: str) -> list[Token]:
-    toks: list[Token] = []
+def lex(src: str) -> Iterator[Token]:
+    """The tokens of src, ending with an eof token, one at a time."""
     line, col, i = 1, 1, 0
     n = len(src)
     while i < n:
@@ -252,20 +254,23 @@ def tokenize(src: str) -> list[Token]:
                 j += 1
             text = src[i:j]
             kind = "kw" if text in KEYWORDS else "ident"
-            toks.append(Token(kind, text, (line, col)))
+            yield Token(kind, text, (line, col))
             col += j - i
             i = j
             continue
         for p in _PUNCT:
             if src.startswith(p, i):
-                toks.append(Token(p, p, (line, col)))
+                yield Token(p, p, (line, col))
                 i += len(p)
                 col += len(p)
                 break
         else:
             raise ParseError(f"unexpected character {c!r}", (line, col))
-    toks.append(Token("eof", "", (line, col)))
-    return toks
+    yield Token("eof", "", (line, col))
+
+
+def tokenize(src: str) -> list[Token]:
+    return list(lex(src))
 
 
 # ---------------------------------------------------------------------------
@@ -276,18 +281,37 @@ _CAP_WORDS = {k.value: k for k in Cap}
 
 
 class Parser:
+    """Recursive descent over a token stream, looking one token ahead.
+
+    Use it through ``parse``, which reports a lexical error anywhere in the
+    source before any parse error."""
+
     def __init__(self, src: str) -> None:
-        self.toks = tokenize(src)
-        self.i = 0
+        self.toks = lex(src)
+        self.tok = next(self.toks)
+
+    def parse(self, rule: Callable[[], T]) -> T:
+        """rule() followed by the end of the source."""
+        try:
+            result = rule()
+            self.expect("eof")
+        except (ParseError, RecursionError):
+            # A lexical error anywhere in the source comes before a parse
+            # error, so the rest of the source is lexed first.
+            for _ in self.toks:
+                pass
+            raise
+        return result
 
     # -- token helpers ------------------------------------------------------
 
     def peek(self) -> Token:
-        return self.toks[self.i]
+        return self.tok
 
     def next(self) -> Token:
-        tok = self.toks[self.i]
-        self.i += 1
+        tok = self.tok
+        if tok.kind != "eof":
+            self.tok = next(self.toks)
         return tok
 
     def at(self, kind: str, text: str | None = None) -> bool:
@@ -318,7 +342,6 @@ class Parser:
             else:
                 break
         prog.main = self.expr()
-        self.expect("eof")
         return prog
 
     def parse_class(self, prog: Program) -> None:
@@ -536,21 +559,18 @@ class Parser:
 
 
 def parse_program(src: str) -> Program:
-    return Parser(src).program()
+    p = Parser(src)
+    return p.parse(p.program)
 
 
 def parse_expr(src: str) -> Expr:
     p = Parser(src)
-    e = p.expr()
-    p.expect("eof")
-    return e
+    return p.parse(p.expr)
 
 
 def parse_type(src: str) -> Type:
     p = Parser(src)
-    t = p.type()
-    p.expect("eof")
-    return t
+    return p.parse(p.type)
 
 
 # ---------------------------------------------------------------------------

@@ -12,14 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import (ALL_CAPS, Cap, CapType, CellHead, ClassName, ClassTable,
+from .model import (Cap, CapType, CellHead, ClassName, ClassTable,
                     FunctionTable, OPEN_CAPS, Type, UnionType, cap_in,
                     cap_not_in, fresult, is_open, leaves, make_cell,
                     make_imm, make_iso, make_mut, map_leaves, subtype,
                     type_wf, vpa, vpa_type)
-from .syntax import (Assign, Call, Deref, Enter, Expr, Freeze, Let, LVal,
-                     Merge, New, Pos, Program, TypeTest, Use, VarAlloc,
-                     pretty_type)
+from .syntax import (Assign, Call, Deref, Enter, Expr, Freeze, Let, Merge,
+                     New, Pos, Program, TypeTest, Use, VarAlloc, pretty_type)
 
 
 class _Undef:
@@ -181,22 +180,35 @@ class Checker:
         if isinstance(e, Enter):
             return self._check_enter(gamma, e)
         if isinstance(e, Let):
-            t_b, g1 = self.check_expr(gamma, e.binding, adjacent)
-            shadow = e.name in g1
-            saved = g1.get(e.name)
-            g1 = dict(g1)
-            g1[e.name] = t_b
-            inner_adj = adjacent - {e.name}
-            t, g2 = self.check_expr(g1, e.body, inner_adj)
-            g2 = dict(g2)
-            if shadow:
-                g2[e.name] = saved
-            else:
-                del g2[e.name]
-            return t, g2
+            return self._check_let_spine(gamma, e, adjacent)
         if isinstance(e, TypeTest):
             return self._check_typetest(gamma, e, adjacent)
         raise AssertionError(f"unhandled expression {e!r}")
+
+    def _check_let_spine(self, gamma: Gamma, e: Let,
+                         adjacent: frozenset[str]) -> tuple[Type, Gamma]:
+        """let x1 = b1 in ... let xn = bn in body, checked in a loop.
+
+        One context, copied once, is extended in place; an undo list of
+        (name, shadowed, saved) restores the outer bindings of x1..xn after
+        the body.  This relies on check_expr returning either the context
+        it was given or a new one that nothing else holds."""
+        gamma = dict(gamma)
+        undo: list[tuple[str, bool, Binding | None]] = []
+        while isinstance(e, Let):
+            t_b, gamma = self.check_expr(gamma, e.binding, adjacent)
+            undo.append((e.name, e.name in gamma, gamma.get(e.name)))
+            gamma[e.name] = t_b
+            if e.name in adjacent:
+                adjacent = adjacent - {e.name}
+            e = e.body
+        t, gamma = self.check_expr(gamma, e, adjacent)
+        for name, shadow, saved in reversed(undo):
+            if shadow:
+                gamma[name] = saved
+            else:
+                del gamma[name]
+        return t, gamma
 
     def _check_deref(self, gamma: Gamma, e: Deref) -> tuple[Type, Gamma]:
         x, f = e.target.name, e.target.fld
@@ -456,81 +468,6 @@ class Checker:
         merged = merge_contexts(g1, g2)
         result = t1 if t1 == t2 else UnionType(t1, t2)
         return result, merged
-
-    # -- dynamic expressions ----------------------------------------------------
-
-    def check_dyn(self, stack: list[Gamma], de) -> tuple[Type | None, Gamma]:
-        """Type a dynamic expression under a context stack (top = last).
-
-        Returns (result type, evolved bottom context); Failure types under
-        anything and yields (None, bottom unchanged).
-        """
-        from .command import Entered, FAILURE
-        if de is FAILURE:
-            return None, stack[0]
-        if isinstance(de, Let) and isinstance(de.binding, Entered):
-            ent: Entered = de.binding
-            if len(stack) < 2:
-                _fail("cmd-dyn-ty-entered",
-                      "entered block without a pushed context", de.pos)
-            bottom, upper = stack[0], stack[1:]
-            t_x = bottom.get(ent.target.name)
-            if t_x is None or t_x is UNDEF:
-                _fail("cmd-dyn-ty-entered",
-                      f"enter target {ent.target.name} unbound below",
-                      de.pos)
-            if not cap_in(OPEN_CAPS, t_x):
-                _fail("cmd-dyn-ty-entered",
-                      f"enter target must be open, got {rtype(t_x)}", de.pos)
-            fld = ent.target.fld or "val"
-            t_f = fresult_keep_iso(t_x, fld, self.classes)
-            if t_f is None:
-                _fail("cmd-dyn-ty-entered",
-                      f"{ent.target} undefined through {rtype(t_x)}", de.pos)
-            t_body, g1_out = self.check_dyn(upper, ent.body)
-            if t_body is None:  # nested Failure
-                return None, bottom
-            if not cap_in({Cap.ISO, Cap.IMM}, t_body):
-                _fail("cmd-dyn-ty-entered",
-                      f"entered body must return iso/imm, got "
-                      f"{rtype(t_body)}", de.pos)
-            t_w = g1_out.get(ent.bridge)
-            if t_w is None or t_w is UNDEF:
-                _fail("cmd-dyn-ty-entered",
-                      f"bridge cell {ent.bridge} unbound", de.pos)
-            if not all(leaf.cap in (Cap.TMP, Cap.VAR)
-                       and isinstance(leaf.head, CellHead)
-                       for leaf in leaves(t_w)):
-                _fail("cmd-dyn-ty-entered",
-                      f"bridge cell must be a tmp/var Cell, got "
-                      f"{rtype(t_w)}", de.pos)
-            t_new = fresult(t_w, "val", self.classes)
-            if t_new is None or not cap_in({Cap.MUT}, t_new):
-                _fail("cmd-dyn-ty-entered",
-                      "bridge cell content must be mut at exit", de.pos)
-            g0 = dict(bottom)
-            if ent.target.fld is None:
-                g0[ent.target.name] = make_cell(make_iso(t_new))
-            shadow = de.name in g0
-            saved = g0.get(de.name)
-            g0[de.name] = t_body
-            t, g_out = self.check_expr(g0, de.body)
-            g_out = dict(g_out)
-            if shadow:
-                g_out[de.name] = saved
-            else:
-                del g_out[de.name]
-            return t, g_out
-        if isinstance(de, Let):
-            # A nested dynamic redex can only live in the binding.
-            from .command import contains_dyn
-            if contains_dyn(de.binding):
-                raise AssertionError("dynamic redex below a static let")
-        if len(stack) != 1:
-            _fail("cmd-dyn-ty-expr",
-                  f"static expression under a {len(stack)}-deep stack",
-                  getattr(de, "pos", (0, 0)))
-        return self.check_expr(stack[0], de)
 
 
 # ---------------------------------------------------------------------------

@@ -3,14 +3,16 @@ from pathlib import Path
 
 import pytest
 
-from reggio.command import (TandemRunner, Verdict, alpha_rename,
-                            desugar_explore, synth_effect, FreshNames)
+from reggio.command import (TandemRunner, Verdict, desugar_explore,
+                            synth_effect)
 from reggio.machine import (Bind, FreezeEff, Halloc, Load, MergeEff, Salloc,
                             Swap)
 from reggio.model import Cap
 from reggio.syntax import (Assign, Deref, Enter, Freeze, LVal, Let, Merge,
                            New, Use, VarAlloc, parse_program)
 from reggio.typecheck import check_program
+
+from subst_reference import FreshNames, alpha_rename
 
 CORPUS = Path(__file__).parent.parent / "corpus"
 

@@ -268,3 +268,39 @@ def test_isolation_corollary_on_generated_programs():
         res = TandemRunner(prog, check="each-step", budget=4000).run()
         assert res.verdict in (Verdict.DONE, Verdict.FAILED,
                                Verdict.BUDGET), (seed, res.detail)
+
+
+# -- reports do not depend on hash order -----------------------------------------
+
+_REPORT_SCRIPT = """
+import json
+from reggio.command import TandemRunner
+from reggio.fuzz import GenConfig, generate
+prog = generate(GenConfig(seed=4, max_depth=8))
+res = TandemRunner(prog, check="each-step",
+                   bugs=frozenset({"skip-bury"})).run()
+print(res.verdict.value, json.dumps(res.report))
+"""
+
+
+def test_violation_report_same_under_every_hash_seed():
+    """The graph's refs form a set of str-hashed names; its iteration order
+    changes with PYTHONHASHSEED, and the report must not."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+    src = Path(__file__).resolve().parent.parent / "src"
+    outs = []
+    for hash_seed in ("0", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join(
+                       p for p in (str(src), os.environ.get("PYTHONPATH"))
+                       if p))
+        proc = subprocess.run([sys.executable, "-c", _REPORT_SCRIPT],
+                              env=env, capture_output=True, text=True,
+                              check=True)
+        outs.append(proc.stdout)
+    assert outs[0].startswith("violation ")
+    assert '"topology_ok"' in outs[0]
+    assert outs[0] == outs[1]

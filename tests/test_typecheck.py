@@ -2,7 +2,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reggio.command import FreshNames, alpha_rename
+from subst_reference import FreshNames, alpha_rename
 from reggio.fuzz import GenConfig, generate
 from reggio.model import Cap, CapType, CellHead, ClassName, UnionType
 from reggio.syntax import parse_program, parse_type, pretty_program
