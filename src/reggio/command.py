@@ -160,7 +160,16 @@ def desugar_explore(e: Enter) -> Enter:
 def desugar_program(prog: Program) -> Program:
     def walk(e):
         if isinstance(e, Let):
-            return replace(e, binding=walk(e.binding), body=walk(e.body))
+            # A let spine is walked in a loop and rebuilt from the bottom
+            # up, so its length is not bounded by the recursion limit.
+            spine = []
+            while isinstance(e, Let):
+                spine.append((e, walk(e.binding)))
+                e = e.body
+            e = walk(e)
+            for let, binding in reversed(spine):
+                e = replace(let, binding=binding, body=e)
+            return e
         if isinstance(e, TypeTest):
             return replace(e, then=walk(e.then), els=walk(e.els))
         if isinstance(e, Enter):

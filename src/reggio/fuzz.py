@@ -539,10 +539,7 @@ def soundness_run(prog: Program, budget: int = 10_000,
 
 
 def _triggers(prog: Program, budget: int, bugs: frozenset[str]) -> bool:
-    try:
-        check_program(prog)
-    except TypeCheckError:
-        return False
+    """The shrinker's predicate; shrink has type checked prog already."""
     verdict, _ = soundness_run(prog, budget, bugs)
     return verdict in (Verdict.STUCK, Verdict.VIOLATION)
 
@@ -551,67 +548,58 @@ def _triggers(prog: Program, budget: int, bugs: frozenset[str]) -> bool:
 # Shrinking
 # ---------------------------------------------------------------------------
 
-def _names_in(e: Expr) -> set[str]:
-    """All variable names occurring in e (over-approximates free names)."""
-    out: set[str] = set()
+def _unused_sites(e: Expr) -> tuple[list[int], list[tuple[int, int]]]:
+    """The shrinker's removal sites in e, found in one bottom-up pass.
 
-    def walk(x) -> None:
-        if isinstance(x, Use):
-            out.add(x.name)
-        elif isinstance(x, LVal):
-            out.add(x.name)
-        elif isinstance(x, Deref):
-            walk(x.target)
-        elif isinstance(x, Assign):
-            walk(x.target)
-            walk(x.use)
-        elif isinstance(x, (VarAlloc, Freeze, Merge)):
-            walk(x.use)
-        elif isinstance(x, New):
-            for a in x.args:
-                walk(a)
-        elif isinstance(x, Call):
-            for a in x.args:
-                walk(a)
-        elif isinstance(x, Enter):
-            walk(x.target)
-            for _, u in x.captures:
-                walk(u)
-            walk(x.body)
-        elif isinstance(x, Let):
-            walk(x.binding)
-            walk(x.body)
-        elif isinstance(x, TypeTest):
-            walk(x.use)
-            walk(x.then)
-            walk(x.els)
+    Let sites are the preorder indices of Let nodes whose bound name does
+    not occur in their body; capture sites are (enter-index,
+    capture-position) pairs, in preorder, for captures whose name does not
+    occur in the enter's body.  A name occurs in an expression when a Use
+    or LVal in it mentions the name, which over-approximates its free
+    names."""
+    lets: list[bool] = []
+    enters: list[list[int]] = []
 
-    walk(e)
-    return out
-
-
-def _let_sites(e: Expr) -> list[int]:
-    """Preorder indices of Let nodes whose bound name is unused."""
-    sites: list[int] = []
-    idx = 0
-
-    def walk(x) -> None:
-        nonlocal idx
+    def names(x) -> set[str]:
+        # A fresh set that the caller may extend.  Let and Enter nodes are
+        # numbered on the way down, so indices follow preorder.
+        if isinstance(x, (Use, LVal)):
+            return {x.name}
+        if isinstance(x, Deref):
+            return {x.target.name}
+        if isinstance(x, Assign):
+            return {x.target.name, x.use.name}
+        if isinstance(x, (VarAlloc, Freeze, Merge)):
+            return {x.use.name}
+        if isinstance(x, (New, Call)):
+            return {a.name for a in x.args}
         if isinstance(x, Let):
-            here = idx
-            idx += 1
-            if x.name not in _names_in(x.body):
-                sites.append(here)
-            walk(x.binding)
-            walk(x.body)
-        elif isinstance(x, Enter):
-            walk(x.body)
-        elif isinstance(x, TypeTest):
-            walk(x.then)
-            walk(x.els)
+            here = len(lets)
+            lets.append(False)
+            binding = names(x.binding)
+            body = names(x.body)
+            lets[here] = x.name not in body
+            body |= binding
+            return body
+        if isinstance(x, Enter):
+            here = len(enters)
+            enters.append([])
+            body = names(x.body)
+            enters[here] = [i for i, (y, _u) in enumerate(x.captures)
+                            if y not in body]
+            body.add(x.target.name)
+            body.update(u.name for _y, u in x.captures)
+            return body
+        if isinstance(x, TypeTest):
+            out = names(x.then)
+            out |= names(x.els)
+            out.add(x.use.name)
+            return out
+        return set()
 
-    walk(e)
-    return sites
+    names(e)
+    return ([i for i, unused in enumerate(lets) if unused],
+            [(i, k) for i, ks in enumerate(enters) for k in ks])
 
 
 def _remove_let(e: Expr, target: int) -> Expr:
@@ -632,32 +620,6 @@ def _remove_let(e: Expr, target: int) -> Expr:
         return x
 
     return walk(e)
-
-
-def _capture_sites(e: Expr) -> list[tuple[int, int]]:
-    """(enter-index, capture-position) pairs for unused captures."""
-    sites: list[tuple[int, int]] = []
-    idx = 0
-
-    def walk(x) -> None:
-        nonlocal idx
-        if isinstance(x, Enter):
-            here = idx
-            idx += 1
-            used = _names_in(x.body)
-            for i, (y, _u) in enumerate(x.captures):
-                if y not in used:
-                    sites.append((here, i))
-            walk(x.body)
-        elif isinstance(x, Let):
-            walk(x.binding)
-            walk(x.body)
-        elif isinstance(x, TypeTest):
-            walk(x.then)
-            walk(x.els)
-
-    walk(e)
-    return sites
 
 
 def _remove_capture(e: Expr, target: tuple[int, int]) -> Expr:
@@ -755,7 +717,10 @@ def _rebuild(prog: Program, main: Expr) -> Program:
 def shrink(prog: Program,
            predicate: Callable[[Program], bool]) -> Program:
     """Greedy removal of unused lets/captures/declarations while the
-    predicate keeps triggering and the program keeps type checking."""
+    predicate keeps triggering and the program keeps type checking.
+
+    Every program passed to the predicate has type checked, so the
+    predicate need not check it again."""
     try:
         check_program(prog)
     except TypeCheckError:
@@ -766,20 +731,11 @@ def shrink(prog: Program,
     progress = True
     while progress:
         progress = False
-        for site in _let_sites(current.main):
-            cand = _rebuild(current, _remove_let(current.main, site))
-            try:
-                check_program(cand)
-            except TypeCheckError:
-                continue
-            if predicate(cand):
-                current = cand
-                progress = True
-                break
-        if progress:
-            continue
-        for site in _capture_sites(current.main):
-            cand = _rebuild(current, _remove_capture(current.main, site))
+        let_sites, capture_sites = _unused_sites(current.main)
+        candidates = ([(_remove_let, site) for site in let_sites]
+                      + [(_remove_capture, site) for site in capture_sites])
+        for remove, site in candidates:
+            cand = _rebuild(current, remove(current.main, site))
             try:
                 check_program(cand)
             except TypeCheckError:

@@ -16,7 +16,7 @@ from .model import (Cap, CapType, CellHead, ClassTable, Type, cap_in,
                     make_iso, make_mut, subtype, vpa)
 from .machine import (BadEnter, Bind, CastEff, Effect, EnterEff, Eps,
                       ExitEff, FreezeEff, Halloc, Load, Machine, MergeEff,
-                      NoCastEff, Salloc, Swap, V_UNDEF)
+                      NoCastEff, Object, Salloc, Swap, V_UNDEF)
 from .typecheck import (UNDEF, Checker, Gamma, TypeCheckError,
                         fresult_keep_iso)
 
@@ -220,47 +220,53 @@ def capability_ok(rho: RegionOrder, cl: set[int], fr: set[int],
 
 def _check_region_order(rho: RegionOrder, cl: set[int], fr: set[int],
                         ref: Ref, violations: list[dict]) -> None:
-    r, r2 = loc_region(ref.src), loc_region(ref.dst)
+    # Each branch returns when the ref passes, so the clause text is built
+    # only for a ref that fails.
+    r, r2 = ref.src.r, ref.dst.r
     k = ref.cap
-    if k in (Cap.MUT, Cap.TMP, Cap.VAR):
-        ok = r == r2
+    if k is Cap.MUT or k is Cap.TMP or k is Cap.VAR:
+        if r == r2:
+            return
         clause = f"k = {k} implies r = r'"
     elif k is Cap.PAUSED:
-        ok = rho.lt(r2, r)
+        if rho.lt(r2, r):
+            return
         clause = "k = paused implies rho |- r' < r"
     elif k is Cap.ISO:
-        ok = r != r2 and (r2 in cl or rho.lt(r, r2)
-                          or (r in fr and r2 in fr))
+        if r != r2 and (r2 in cl or rho.lt(r, r2) or (r in fr and r2 in fr)):
+            return
         clause = "k = iso implies r != r' and (r' closed or above or both frozen)"
     else:  # imm
-        ok = r2 in fr
+        if r2 in fr:
+            return
         clause = "k = imm implies r' in Fr"
-    if not ok:
-        violations.append(_violation("region_order", clause, [ref],
-                                     [r, r2]))
+    violations.append(_violation("region_order", clause, [ref], [r, r2]))
 
 
 def _check_location(ref: Ref, violations: list[dict]) -> None:
     k, src, dst = ref.cap, ref.src, ref.dst
     if k is Cap.MUT:
-        ok = isinstance(dst, Heap)
+        if isinstance(dst, Heap):
+            return
         clause = "mut targets Heap"
     elif k is Cap.TMP:
-        ok = isinstance(src, (Root, Temp)) and isinstance(dst, Temp)
+        if isinstance(src, (Root, Temp)) and isinstance(dst, Temp):
+            return
         clause = "tmp sources Root/Temp and targets Temp"
     elif k is Cap.VAR:
-        ok = isinstance(src, Root) and isinstance(dst, Temp)
+        if isinstance(src, Root) and isinstance(dst, Temp):
+            return
         clause = "var sources Root and targets Temp"
     elif k is Cap.PAUSED:
-        ok = isinstance(src, (Root, Temp))
+        if isinstance(src, (Root, Temp)):
+            return
         clause = "paused sources Root/Temp"
     else:  # iso, imm
-        ok = isinstance(dst, Heap)
+        if isinstance(dst, Heap):
+            return
         clause = f"{k} targets Heap"
-    if not ok:
-        violations.append(_violation(
-            "location_ok", clause, [ref],
-            [loc_region(src), loc_region(dst)]))
+    violations.append(_violation("location_ok", clause, [ref],
+                                 [src.r, dst.r]))
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +293,8 @@ def topology_ok(rho: RegionOrder, fr: set[int], g: ConfigGraph,
     """Pairwise topology clauses, grouped by destination region (equivalent
     to the quadratic definition: pairs with distinct destination regions or
     a frozen destination satisfy the disjunction trivially), plus the
-    entrypoint chains for every region-stack cons."""
+    entrypoint chains for every region-stack cons, looked up through the
+    refs indexed by source."""
     violations: list[dict] = []
     groups: dict[int, list[Ref]] = {}
     for ref in g.refs:
@@ -302,21 +309,22 @@ def topology_ok(rho: RegionOrder, fr: set[int], g: ConfigGraph,
             violations.append(_violation(
                 "topology_ok", "two external references into one region",
                 sorted(refs, key=_ref_key)[:4], [rd]))
-    if entries is not None:
+    if entries:
         by_iota = {}
         for loc in g.locs:
             if not isinstance(loc, Root):
                 by_iota[loc.iota] = loc
+        out_refs: dict[Loc, list[Ref]] = {}
+        for ref in g.refs:
+            out_refs.setdefault(ref.src, []).append(ref)
         for r_below, (iota_y, f), r_above in entries:
             loc_y = by_iota.get(iota_y)
             root_edge = loc_y is not None and any(
-                ref.src == Root(r_below) and ref.dst == loc_y
-                for ref in g.refs)
+                ref.dst == loc_y for ref in out_refs.get(Root(r_below), ()))
             entry_edge = loc_y is not None and any(
-                ref.src == loc_y and ref.name == f
-                and isinstance(ref.dst, Heap)
-                and loc_region(ref.dst) == r_above
-                for ref in g.refs)
+                ref.name == f and isinstance(ref.dst, Heap)
+                and ref.dst.r == r_above
+                for ref in out_refs.get(loc_y, ()))
             if not (root_edge and entry_edge):
                 violations.append(_violation(
                     "entrypoints_ok",
@@ -402,8 +410,9 @@ def check_config_wf(gammas: Optional[ContextStack], m: Machine) -> dict:
                 "wf-rs-cons", "context stack height differs from region "
                 "stack height", [], stack_ids))
         else:
+            objects = _objects_by_id(m)
             for (gamma, _), frame in zip(gammas.frames, m.frames):
-                _check_frame_typing(gamma, frame, m, violations)
+                _check_frame_typing(gamma, frame, objects, violations)
     try:
         g = build_graph(m)
     except GraphError as exc:
@@ -418,7 +427,21 @@ def check_config_wf(gammas: Optional[ContextStack], m: Machine) -> dict:
     return {"verdict": not violations, "violations": violations}
 
 
-def _check_frame_typing(gamma: Gamma, frame, m: Machine,
+def _objects_by_id(m: Machine) -> dict[int, Object]:
+    """Every object of the configuration by id.  Where an id repeats, the
+    object is the one m.cfg_load finds first: the temps of the topmost
+    frame holding it, else the first store of the open, closed and frozen
+    heaps, in that order.  Later updates win, so sources go in reverse."""
+    objects: dict[int, Object] = {}
+    for heap in (m.h_fr, m.h_cl, m.h_op):
+        for store in reversed(heap.values()):
+            objects.update(store)
+    for frame in m.frames:
+        objects.update(frame.temps)
+    return objects
+
+
+def _check_frame_typing(gamma: Gamma, frame, objects: dict[int, Object],
                         violations: list[dict]) -> None:
     for x, t in gamma.items():
         v = frame.vars.get(x)
@@ -430,7 +453,7 @@ def _check_frame_typing(gamma: Gamma, frame, m: Machine,
                 [frame.r]))
             continue
         cap, iota = v
-        obj = m.cfg_load(iota, (m.h_op, m.h_cl, m.h_fr))
+        obj = objects.get(iota)
         if obj is None:
             violations.append(_violation(
                 "wf-vars", f"variable {x} dangles ({iota})", [], [frame.r]))

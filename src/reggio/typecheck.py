@@ -115,6 +115,9 @@ class Checker:
                  functions: FunctionTable) -> None:
         self.classes = classes
         self.functions = functions
+        # The context of the innermost let spine being checked, which that
+        # spine alone holds; a drop from it is made in place.
+        self._owned: Gamma | None = None
 
     # -- uses -----------------------------------------------------------------
 
@@ -130,9 +133,10 @@ class Checker:
     def check_use(self, gamma: Gamma, u: Use) -> tuple[Type, Gamma]:
         if u.drop:
             t = self.lookup(gamma, u.name, "cmd-ty-use-drop", u.pos)
-            g2 = dict(gamma)
-            g2[u.name] = UNDEF
-            return t, g2
+            if gamma is not self._owned:
+                gamma = dict(gamma)
+            gamma[u.name] = UNDEF
+            return t, gamma
         t = self.lookup(gamma, u.name, "cmd-ty-use-keep", u.pos)
         if not cap_not_in({Cap.ISO, Cap.VAR}, t):
             _fail("cmd-ty-use-keep",
@@ -189,20 +193,28 @@ class Checker:
                          adjacent: frozenset[str]) -> tuple[Type, Gamma]:
         """let x1 = b1 in ... let xn = bn in body, checked in a loop.
 
-        One context, copied once, is extended in place; an undo list of
-        (name, shadowed, saved) restores the outer bindings of x1..xn after
-        the body.  This relies on check_expr returning either the context
-        it was given or a new one that nothing else holds."""
+        One context, copied once, is extended in place, and check_use
+        drops from it in place too; an undo list of (name, shadowed, saved)
+        restores the outer bindings of x1..xn after the body.  This relies
+        on check_expr returning either the context it was given or a new
+        one that nothing else holds, and on no caller reading a context
+        after passing it on."""
         gamma = dict(gamma)
+        outer = self._owned
         undo: list[tuple[str, bool, Binding | None]] = []
-        while isinstance(e, Let):
-            t_b, gamma = self.check_expr(gamma, e.binding, adjacent)
-            undo.append((e.name, e.name in gamma, gamma.get(e.name)))
-            gamma[e.name] = t_b
-            if e.name in adjacent:
-                adjacent = adjacent - {e.name}
-            e = e.body
-        t, gamma = self.check_expr(gamma, e, adjacent)
+        try:
+            while isinstance(e, Let):
+                self._owned = gamma
+                t_b, gamma = self.check_expr(gamma, e.binding, adjacent)
+                undo.append((e.name, e.name in gamma, gamma.get(e.name)))
+                gamma[e.name] = t_b
+                if e.name in adjacent:
+                    adjacent = adjacent - {e.name}
+                e = e.body
+            self._owned = gamma
+            t, gamma = self.check_expr(gamma, e, adjacent)
+        finally:
+            self._owned = outer
         for name, shadow, saved in reversed(undo):
             if shadow:
                 gamma[name] = saved

@@ -137,3 +137,13 @@ def test_long_chain_checks_and_runs_without_recursion():
     result = TandemRunner(prog, check="off").run()
     assert (result.verdict, result.steps) == (Verdict.DONE, 5000)
     assert result.detail == "x4999$5000"
+
+
+def test_long_chain_desugars_and_runs():
+    # desugar_program walks a let spine in a loop, as the CLI's run and
+    # trace do for every program.
+    prog = desugar_program(_chain(5000))
+    check_program(prog)
+    result = TandemRunner(prog, check="off").run()
+    assert (result.verdict, result.steps) == (Verdict.DONE, 5000)
+    assert result.detail == "x4999$5000"

@@ -2,11 +2,12 @@
 import pytest
 
 from reggio.command import TandemRunner, Verdict
-from reggio.fuzz import (CampaignResult, GenConfig, campaign, generate,
-                         shrink, soundness_run)
-from reggio.syntax import (Enter, Freeze, Let, Merge, New, parse_program,
+from reggio.fuzz import (CampaignResult, GenConfig, _unused_sites, campaign,
+                         generate, shrink, soundness_run)
+from reggio.syntax import (Assign, Call, Deref, Enter, Freeze, Let, LVal,
+                           Merge, New, TypeTest, Use, VarAlloc, parse_program,
                            pretty_program)
-from reggio.typecheck import check_program
+from reggio.typecheck import TypeCheckError, check_program
 
 
 def _count(e, kind) -> int:
@@ -78,6 +79,98 @@ def test_shrink_keeps_non_trigger_untouched():
     assert pretty_program(out) == pretty_program(prog)
 
 
+# The shrinker's sites by their first definition: one _names_in scan of
+# the body per let and per enter.  It is quadratic in the program's length,
+# and kept here as the oracle for fuzz._unused_sites.
+
+def _names_in(e) -> set[str]:
+    out: set[str] = set()
+
+    def walk(x) -> None:
+        if isinstance(x, (Use, LVal)):
+            out.add(x.name)
+        elif isinstance(x, Deref):
+            walk(x.target)
+        elif isinstance(x, Assign):
+            walk(x.target)
+            walk(x.use)
+        elif isinstance(x, (VarAlloc, Freeze, Merge)):
+            walk(x.use)
+        elif isinstance(x, (New, Call)):
+            for a in x.args:
+                walk(a)
+        elif isinstance(x, Enter):
+            walk(x.target)
+            for _, u in x.captures:
+                walk(u)
+            walk(x.body)
+        elif isinstance(x, Let):
+            walk(x.binding)
+            walk(x.body)
+        elif isinstance(x, TypeTest):
+            walk(x.use)
+            walk(x.then)
+            walk(x.els)
+
+    walk(e)
+    return out
+
+
+def _sites_by_rescan(e):
+    let_sites: list[int] = []
+    capture_sites: list[tuple[int, int]] = []
+    counts = {"let": 0, "enter": 0}
+
+    def walk(x) -> None:
+        if isinstance(x, Let):
+            here = counts["let"]
+            counts["let"] += 1
+            if x.name not in _names_in(x.body):
+                let_sites.append(here)
+            walk(x.binding)
+            walk(x.body)
+        elif isinstance(x, Enter):
+            here = counts["enter"]
+            counts["enter"] += 1
+            used = _names_in(x.body)
+            for i, (y, _u) in enumerate(x.captures):
+                if y not in used:
+                    capture_sites.append((here, i))
+            walk(x.body)
+        elif isinstance(x, TypeTest):
+            walk(x.then)
+            walk(x.els)
+
+    walk(e)
+    return let_sites, capture_sites
+
+
+def test_unused_sites_match_rescan_oracle():
+    found = [0, 0]
+    for seed in range(200):
+        main = generate(GenConfig(seed=seed)).main
+        lets, captures = _unused_sites(main)
+        assert (lets, captures) == _sites_by_rescan(main), seed
+        found[0] += len(lets)
+        found[1] += len(captures)
+    # Both kinds of site occur, so the comparison is not vacuous.
+    assert min(found) > 0
+
+
+def test_unused_sites_with_reused_names():
+    # The generator never reuses a name; here a let's binding, an enter's
+    # target and its capture uses mention the binder being asked about.
+    src = ("class A { }\nclass H { h: iso A }\n"
+           "let a = new mut A() in let a = a in let b = a in "
+           "let h = new mut H(drop a) in "
+           "let r = enter h.h [h = h, k = b, b = k] { z => let k = k in a } "
+           "in if typetest(r, mut A) { y => let y = y in y } "
+           "else { y => let u = u in b }")
+    main = parse_program(src).main
+    assert _unused_sites(main) == _sites_by_rescan(main)
+    assert _unused_sites(main) == ([5, 7], [(0, 0), (0, 2)])
+
+
 def _triggers_exit_keep_temps(p) -> bool:
     try:
         check_program(p)
@@ -101,6 +194,24 @@ def test_shrink_planted_bug_to_small_witness():
     small = shrink(found, _triggers_exit_keep_temps)
     assert _triggers_exit_keep_temps(small)
     assert _count(small.main, Let) < 10
+
+
+def test_shrink_predicate_sees_only_typed_programs():
+    found = next(p for p in (generate(GenConfig(seed=s)) for s in range(200))
+                 if _triggers_exit_keep_temps(p))
+    ill_typed = []
+
+    def predicate(p) -> bool:
+        try:
+            check_program(p)
+        except TypeCheckError:
+            ill_typed.append(pretty_program(p))
+            return False
+        return _triggers_exit_keep_temps(p)
+
+    small = shrink(found, predicate)
+    assert ill_typed == []
+    assert _count(small.main, Let) < _count(found.main, Let)
 
 
 def test_campaign_clean_machine_summary():

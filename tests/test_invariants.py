@@ -164,6 +164,49 @@ def test_location_ok_shapes():
     assert not ok and "location_ok" in _clauses(vs)
 
 
+# The exact text of every region_order and location_ok clause.  Each case
+# breaks one clause and no other: (ref, rho, closed, frozen, predicate,
+# clause).
+_CLAUSE_CASES = [
+    (Ref(Root(0), "x", Cap.MUT, Heap(1, 1)), [0], set(), set(),
+     "region_order", "k = mut implies r = r'"),
+    (Ref(Root(0), "t", Cap.TMP, Temp(1, 2)), [0], set(), set(),
+     "region_order", "k = tmp implies r = r'"),
+    (Ref(Root(0), "v", Cap.VAR, Temp(1, 3)), [0], set(), set(),
+     "region_order", "k = var implies r = r'"),
+    (Ref(Temp(0, 4), "p", Cap.PAUSED, Heap(1, 5)), [0], set(), set(),
+     "region_order", "k = paused implies rho |- r' < r"),
+    (Ref(Heap(0, 6), "i", Cap.ISO, Heap(0, 7)), [0], set(), set(),
+     "region_order",
+     "k = iso implies r != r' and (r' closed or above or both frozen)"),
+    (Ref(Heap(0, 8), "m", Cap.IMM, Heap(2, 9)), [0], set(), set(),
+     "region_order", "k = imm implies r' in Fr"),
+    (Ref(Root(0), "x", Cap.MUT, Temp(0, 1)), [0], set(), set(),
+     "location_ok", "mut targets Heap"),
+    (Ref(Heap(0, 1), "t", Cap.TMP, Temp(0, 2)), [0], set(), set(),
+     "location_ok", "tmp sources Root/Temp and targets Temp"),
+    (Ref(Heap(0, 2), "v", Cap.VAR, Temp(0, 1)), [0], set(), set(),
+     "location_ok", "var sources Root and targets Temp"),
+    (Ref(Heap(1, 3), "p", Cap.PAUSED, Heap(0, 4)), [1, 0], set(), set(),
+     "location_ok", "paused sources Root/Temp"),
+    (Ref(Root(0), "i", Cap.ISO, Temp(1, 5)), [0], {1}, set(),
+     "location_ok", "iso targets Heap"),
+    (Ref(Root(0), "m", Cap.IMM, Temp(2, 6)), [0], set(), {2},
+     "location_ok", "imm targets Heap"),
+]
+
+
+@pytest.mark.parametrize(
+    "ref, order, cl, fr, predicate, clause", _CLAUSE_CASES,
+    ids=[f"{c[4]}-{c[0].cap.value}" for c in _CLAUSE_CASES])
+def test_capability_clause_text(ref, order, cl, fr, predicate, clause):
+    ok, vs = capability_ok(RegionOrder(order), cl, fr, _graph(ref))
+    assert not ok
+    assert vs == [{"predicate": predicate, "clause": clause,
+                   "refs": [str(ref)],
+                   "regions": sorted({ref.src.r, ref.dst.r})}]
+
+
 # -- topology spot checks (hand-built graphs) ------------------------------------
 
 def test_topology_paused_back_edge_allowed():

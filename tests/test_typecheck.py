@@ -200,6 +200,19 @@ def test_merge_contexts_undef_absorbs():
         merge_contexts({"x": _t("mut C")}, {})
 
 
+def test_let_spine_drops_leave_the_callers_context():
+    # A let spine drops from its own copy of the context, in place; the
+    # context it was given stays as it was.
+    prog = parse_program(_PRELUDE + "let b = drop a in "
+                         "let c = freeze drop b in c")
+    checker = Checker(prog.classes, prog.functions)
+    gamma = {"a": _t("iso C")}
+    t, g_out = checker.check_expr(gamma, prog.main)
+    assert t == _t("imm C")
+    assert gamma == {"a": _t("iso C")}
+    assert g_out == {"a": UNDEF}
+
+
 # -- properties over generated programs ----------------------------------------
 
 @pytest.mark.parametrize("seed", range(30))
