@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Optional
 
+from .invariants import ContextStack, Fragments
 from .model import Cap, FunSig
 from .machine import (BadEnter, Bind, CastEff, Effect, EnterEff, Eps,
                       ExitEff, FreezeEff, Halloc, Load, Machine, MergeEff,
@@ -257,11 +258,12 @@ class TandemRunner:
         self._binders: dict[str, int] = {}
         self.steps = 0
         self._checking = check in ("final", "each-step")
+        self.gammas: Optional[ContextStack] = None
+        self.fragments: Optional[Fragments] = None
         if self._checking:
-            from .invariants import ContextStack
-            self.gammas: Optional[ContextStack] = ContextStack()
-        else:
-            self.gammas = None
+            self.gammas = ContextStack()
+        if check == "each-step":
+            self.fragments = Fragments()
 
     # -- redex selection ---------------------------------------------------------
 
@@ -387,12 +389,12 @@ class TandemRunner:
                             return RunResult(Verdict.VIOLATION, self.steps,
                                              "final state ill-formed",
                                              report)
-                    return RunResult(Verdict.DONE, self.steps,
-                                     str(rename_use(self.control, self.env)))
+                    return self._end(Verdict.DONE, str(
+                        rename_use(self.control, self.env)))
                 if self.control is FAILURE:
-                    return RunResult(Verdict.FAILED, self.steps, "badenter")
+                    return self._end(Verdict.FAILED, "badenter")
             if self.steps >= self.budget:
-                return RunResult(Verdict.BUDGET, self.steps)
+                return self._end(Verdict.BUDGET)
             try:
                 eff = self._step()
             except Stuck as exc:
@@ -413,11 +415,25 @@ class TandemRunner:
                         Verdict.VIOLATION, self.steps,
                         f"effect {eff} rejected by wf-eff")
                 self.gammas = evolved
-                if self.check == "each-step":
-                    report = check_config_wf(self.gammas, self.machine)
+                if self.fragments is not None:
+                    self.fragments.effect = eff
+                    report = check_config_wf(self.gammas, self.machine,
+                                             self.fragments)
                     verdict_ok = report["verdict"]
                     if not verdict_ok:
                         return RunResult(Verdict.VIOLATION, self.steps,
                                          "invariant violation", report)
             if self.observer is not None:
                 self.observer(self.steps, eff, verdict_ok)
+
+    def _end(self, verdict: Verdict, detail: str = "") -> RunResult:
+        """The run's result.  Under each-step the final state also goes to
+        the full check, so a run ends on the spec's verdict whatever the
+        fast path passed."""
+        if self.fragments is not None:
+            from .invariants import check_config_wf
+            report = check_config_wf(self.gammas, self.machine)
+            if not report["verdict"]:
+                return RunResult(Verdict.VIOLATION, self.steps,
+                                 "invariant violation", report)
+        return RunResult(verdict, self.steps, detail)

@@ -2,21 +2,26 @@
 invariants, configuration well-formedness, and effect well-formedness.
 
 The oracle is deliberately brute force: the graph is rebuilt from scratch
-and the topology predicate is checked pairwise.  Violation reports are
-plain dicts of the shape {verdict, violations: [{predicate, clause, refs,
-regions}]} so they serialize directly to JSON.
+and the topology predicate is checked pairwise.  It is the executable
+spec; each-step runs first try a fast path (Fragments) that re-checks only
+the frames and region stores a step touched, through the same extraction
+functions and per-ref clauses, and falls back to the spec for any
+configuration it does not pass.  Violation reports are plain dicts of the
+shape {verdict, violations: [{predicate, clause, refs, regions}]} so they
+serialize directly to JSON.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .model import (Cap, CapType, CellHead, ClassTable, Type, cap_in,
                     cap_not_in, fresult, leaves, make_cell, make_imm,
                     make_iso, make_mut, subtype, vpa)
 from .machine import (BadEnter, Bind, CastEff, Effect, EnterEff, Eps,
-                      ExitEff, FreezeEff, Halloc, Load, Machine, MergeEff,
-                      NoCastEff, Object, Salloc, Swap, V_UNDEF)
+                      ExitEff, Frame, FreezeEff, Halloc, Load, Machine,
+                      MergeEff, NoCastEff, Object, Salloc, Store, Swap,
+                      V_UNDEF)
 from .typecheck import (UNDEF, Checker, Gamma, TypeCheckError,
                         fresult_keep_iso)
 
@@ -79,6 +84,53 @@ class GraphError(Exception):
     """A separation violation while rebuilding the graph."""
 
 
+# A configuration splits into fragments: each frame's variables and
+# temporaries, and each region's store.  build_graph extracts every
+# fragment; the each-step fast path (Fragments) re-extracts only the ones
+# a step touched, through the same functions.
+
+def _add_objects(where: dict[int, Loc], store, make_loc, r: int) -> None:
+    """Index a fragment's objects by id as make_loc(r, iota)."""
+    for iota in store:
+        loc = make_loc(r, iota)
+        if iota in where:
+            raise GraphError(f"object id {iota} appears at "
+                             f"{where[iota]} and {loc}")
+        where[iota] = loc
+
+
+def _ref(where: dict[int, Loc], src: Loc, name: str, v) -> Ref:
+    dst = where.get(v[1])
+    if dst is None:
+        raise GraphError(f"dangling reference {src}.{name} -> {v[1]}")
+    return Ref(src, name, v[0], dst)
+
+
+def _frame_refs(frame: Frame, where: dict[int, Loc]) -> list[Ref]:
+    """Variable edges from the frame's root (buried bindings contribute
+    nothing) and the field edges of its temporaries."""
+    r = frame.r
+    root = Root(r)
+    refs = [_ref(where, root, x, v) for x, v in frame.vars.items()
+            if v is not V_UNDEF]
+    for iota, obj in frame.temps.items():
+        src = Temp(r, iota)
+        for f, v in obj.fields.items():
+            refs.append(_ref(where, src, f, v))
+    return refs
+
+
+def _store_refs(r: int, store: Store, where: dict[int, Loc]) -> list[Ref]:
+    refs = []
+    for iota, obj in store.items():
+        src = Heap(r, iota)
+        for f, v in obj.fields.items():
+            if v is V_UNDEF:
+                raise GraphError(f"heap object {iota} has undefined field {f}")
+            refs.append(_ref(where, src, f, v))
+    return refs
+
+
 def build_graph(m: Machine) -> ConfigGraph:
     """Rebuild (L, R) from a machine state.
 
@@ -86,57 +138,24 @@ def build_graph(m: Machine) -> ConfigGraph:
     bindings contribute nothing); heaps contribute Heap locations and field
     edges.  Duplicate object-ids or duplicate roots are separation errors.
     """
-    locs: set[Loc] = set()
     where: dict[int, Loc] = {}
-    roots: dict[int, Root] = {}
-
-    def add_obj(loc: Loc) -> None:
-        if loc.iota in where:
-            raise GraphError(f"object id {loc.iota} appears at "
-                             f"{where[loc.iota]} and {loc}")
-        where[loc.iota] = loc
-        locs.add(loc)
-
+    roots: set[Loc] = set()
     for frame in m.frames:
-        if frame.r in roots:
-            raise GraphError(f"two root locations for region {frame.r}")
         root = Root(frame.r)
-        roots[frame.r] = root
-        locs.add(root)
-        for iota in frame.temps:
-            add_obj(Temp(frame.r, iota))
+        if root in roots:
+            raise GraphError(f"two root locations for region {frame.r}")
+        roots.add(root)
+        _add_objects(where, frame.temps, Temp, frame.r)
     for heap in (m.h_op, m.h_cl, m.h_fr):
         for r, store in heap.items():
-            for iota in store:
-                add_obj(Heap(r, iota))
-
+            _add_objects(where, store, Heap, r)
     refs: set[Ref] = set()
-
-    def add_ref(src: Loc, name: str, cap: Cap, iota: int) -> None:
-        dst = where.get(iota)
-        if dst is None:
-            raise GraphError(f"dangling reference {src}.{name} -> {iota}")
-        refs.add(Ref(src, name, cap, dst))
-
     for frame in m.frames:
-        root = roots[frame.r]
-        for x, v in frame.vars.items():
-            if v is not V_UNDEF:
-                add_ref(root, x, v[0], v[1])
-        for iota, obj in frame.temps.items():
-            src = Temp(frame.r, iota)
-            for f, v in obj.fields.items():
-                add_ref(src, f, v[0], v[1])
+        refs.update(_frame_refs(frame, where))
     for heap in (m.h_op, m.h_cl, m.h_fr):
         for r, store in heap.items():
-            for iota, obj in store.items():
-                src = Heap(r, iota)
-                for f, v in obj.fields.items():
-                    if v is V_UNDEF:
-                        raise GraphError(
-                            f"heap object {iota} has undefined field {f}")
-                    add_ref(src, f, v[0], v[1])
-    return ConfigGraph(locs, refs)
+            refs.update(_store_refs(r, store, where))
+    return ConfigGraph(roots | set(where.values()), refs)
 
 
 # ---------------------------------------------------------------------------
@@ -195,19 +214,10 @@ def _violation_key(v: dict) -> tuple:
 def capability_ok(rho: RegionOrder, cl: set[int], fr: set[int],
                   g: ConfigGraph) -> tuple[bool, list[dict]]:
     violations: list[dict] = []
-    indegree: dict[Loc, int] = {}
-    var_target: dict[Loc, Ref] = {}
     for ref in g.refs:
-        indegree[ref.dst] = indegree.get(ref.dst, 0) + 1
-        if ref.cap is Cap.VAR:
-            var_target[ref.dst] = ref
-        _check_region_order(rho, cl, fr, ref, violations)
-        _check_location(ref, violations)
-        if loc_region(ref.src) in fr and loc_region(ref.dst) not in fr:
-            violations.append(_violation(
-                "deep_freeze", "r in Fr implies r' in Fr", [ref],
-                [loc_region(ref.src), loc_region(ref.dst)]))
-    for loc, ref in var_target.items():
+        _ref_violations(rho, cl, fr, ref, violations)
+    indegree, var_targets = _in_degrees(g.refs)
+    for loc in var_targets:
         if indegree[loc] > 1:
             violations.append(_violation(
                 "var_unique", "var target has in-degree > 1",
@@ -218,55 +228,79 @@ def capability_ok(rho: RegionOrder, cl: set[int], fr: set[int],
     return not violations, violations
 
 
-def _check_region_order(rho: RegionOrder, cl: set[int], fr: set[int],
-                        ref: Ref, violations: list[dict]) -> None:
-    # Each branch returns when the ref passes, so the clause text is built
-    # only for a ref that fails.
+def _ref_violations(rho: RegionOrder, cl, fr, ref: Ref,
+                    violations: list[dict]) -> None:
+    """The per-ref clauses: region order, location and deep freeze."""
+    clause = _region_order_clause(rho, cl, fr, ref)
+    if clause is not None:
+        violations.append(_violation("region_order", clause, [ref],
+                                     [ref.src.r, ref.dst.r]))
+    clause = _location_clause(ref)
+    if clause is not None:
+        violations.append(_violation("location_ok", clause, [ref],
+                                     [ref.src.r, ref.dst.r]))
+    if ref.src.r in fr and ref.dst.r not in fr:
+        violations.append(_violation(
+            "deep_freeze", "r in Fr implies r' in Fr", [ref],
+            [ref.src.r, ref.dst.r]))
+
+
+def _in_degrees(refs) -> tuple[dict[Loc, int], set[Loc]]:
+    """The refs into each target, and the targets of var refs."""
+    indegree: dict[Loc, int] = {}
+    var_targets: set[Loc] = set()
+    for ref in refs:
+        indegree[ref.dst] = indegree.get(ref.dst, 0) + 1
+        if ref.cap is Cap.VAR:
+            var_targets.add(ref.dst)
+    return indegree, var_targets
+
+
+# Each clause returns None for a ref that passes, so its text is built
+# only for a ref that fails.
+
+def _region_order_clause(rho: RegionOrder, cl, fr, ref: Ref
+                         ) -> Optional[str]:
     r, r2 = ref.src.r, ref.dst.r
     k = ref.cap
     if k is Cap.MUT or k is Cap.TMP or k is Cap.VAR:
         if r == r2:
-            return
-        clause = f"k = {k} implies r = r'"
-    elif k is Cap.PAUSED:
+            return None
+        return f"k = {k} implies r = r'"
+    if k is Cap.PAUSED:
         if rho.lt(r2, r):
-            return
-        clause = "k = paused implies rho |- r' < r"
-    elif k is Cap.ISO:
+            return None
+        return "k = paused implies rho |- r' < r"
+    if k is Cap.ISO:
         if r != r2 and (r2 in cl or rho.lt(r, r2) or (r in fr and r2 in fr)):
-            return
-        clause = "k = iso implies r != r' and (r' closed or above or both frozen)"
-    else:  # imm
-        if r2 in fr:
-            return
-        clause = "k = imm implies r' in Fr"
-    violations.append(_violation("region_order", clause, [ref], [r, r2]))
+            return None
+        return "k = iso implies r != r' and (r' closed or above or both frozen)"
+    if r2 in fr:  # imm
+        return None
+    return "k = imm implies r' in Fr"
 
 
-def _check_location(ref: Ref, violations: list[dict]) -> None:
+def _location_clause(ref: Ref) -> Optional[str]:
     k, src, dst = ref.cap, ref.src, ref.dst
     if k is Cap.MUT:
         if isinstance(dst, Heap):
-            return
-        clause = "mut targets Heap"
-    elif k is Cap.TMP:
+            return None
+        return "mut targets Heap"
+    if k is Cap.TMP:
         if isinstance(src, (Root, Temp)) and isinstance(dst, Temp):
-            return
-        clause = "tmp sources Root/Temp and targets Temp"
-    elif k is Cap.VAR:
+            return None
+        return "tmp sources Root/Temp and targets Temp"
+    if k is Cap.VAR:
         if isinstance(src, Root) and isinstance(dst, Temp):
-            return
-        clause = "var sources Root and targets Temp"
-    elif k is Cap.PAUSED:
+            return None
+        return "var sources Root and targets Temp"
+    if k is Cap.PAUSED:
         if isinstance(src, (Root, Temp)):
-            return
-        clause = "paused sources Root/Temp"
-    else:  # iso, imm
-        if isinstance(dst, Heap):
-            return
-        clause = f"{k} targets Heap"
-    violations.append(_violation("location_ok", clause, [ref],
-                                 [src.r, dst.r]))
+            return None
+        return "paused sources Root/Temp"
+    if isinstance(dst, Heap):  # iso, imm
+        return None
+    return f"{k} targets Heap"
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +321,28 @@ def topology_pair_ok(rho: RegionOrder, fr: set[int], ref1: Ref,
             or rho.leq(r2d, loc_region(ref2.src)))
 
 
+def _external_groups(rho: RegionOrder, fr, refs) -> dict[int, list[Ref]]:
+    """The refs that can break the pairwise disjunction with a partner,
+    by destination region: the destination is not frozen and not
+    at-or-below the source."""
+    groups: dict[int, list[Ref]] = {}
+    for ref in refs:
+        rd = ref.dst.r
+        if rd not in fr and not rho.leq(rd, ref.src.r):
+            groups.setdefault(rd, []).append(ref)
+    return groups
+
+
+def _chain_ok(out_refs, loc_y: Optional[Loc], r_below: int, f: str,
+              r_above: int) -> bool:
+    """The entry-point chain Root(r_below) -> loc_y -> Heap(r_above) via
+    field f; out_refs(loc) gives the refs leaving loc."""
+    return (loc_y is not None
+            and any(ref.dst == loc_y for ref in out_refs(Root(r_below)))
+            and any(ref.name == f and isinstance(ref.dst, Heap)
+                    and ref.dst.r == r_above for ref in out_refs(loc_y)))
+
+
 def topology_ok(rho: RegionOrder, fr: set[int], g: ConfigGraph,
                 entries: Optional[list[tuple[int, tuple[int, str], int]]]
                 = None) -> tuple[bool, list[dict]]:
@@ -296,15 +352,7 @@ def topology_ok(rho: RegionOrder, fr: set[int], g: ConfigGraph,
     entrypoint chains for every region-stack cons, looked up through the
     refs indexed by source."""
     violations: list[dict] = []
-    groups: dict[int, list[Ref]] = {}
-    for ref in g.refs:
-        rd = loc_region(ref.dst)
-        if rd in fr:
-            continue
-        if rho.leq(rd, loc_region(ref.src)):
-            continue  # satisfies the disjunction with any partner
-        groups.setdefault(rd, []).append(ref)
-    for rd, refs in groups.items():
+    for rd, refs in _external_groups(rho, fr, g.refs).items():
         if len(refs) > 1:
             violations.append(_violation(
                 "topology_ok", "two external references into one region",
@@ -318,14 +366,8 @@ def topology_ok(rho: RegionOrder, fr: set[int], g: ConfigGraph,
         for ref in g.refs:
             out_refs.setdefault(ref.src, []).append(ref)
         for r_below, (iota_y, f), r_above in entries:
-            loc_y = by_iota.get(iota_y)
-            root_edge = loc_y is not None and any(
-                ref.dst == loc_y for ref in out_refs.get(Root(r_below), ()))
-            entry_edge = loc_y is not None and any(
-                ref.name == f and isinstance(ref.dst, Heap)
-                and ref.dst.r == r_above
-                for ref in out_refs.get(loc_y, ()))
-            if not (root_edge and entry_edge):
+            if not _chain_ok(lambda loc: out_refs.get(loc, ()),
+                             by_iota.get(iota_y), r_below, f, r_above):
                 violations.append(_violation(
                     "entrypoints_ok",
                     f"missing Root({r_below}) -> loc -> Heap({r_above}) "
@@ -357,15 +399,18 @@ class ContextStack:
     frames: list[tuple[Gamma, Optional[tuple[str, str]]]] = field(
         default_factory=lambda: [({}, None)])
 
-    def copy(self) -> "ContextStack":
-        return ContextStack([(dict(g), tag) for g, tag in self.frames])
+    def copy_top(self) -> "ContextStack":
+        """A stack with its own copy of the top context and every lower
+        context shared; a caller that writes a lower context copies it
+        first."""
+        frames = self.frames[:]
+        g, tag = frames[-1]
+        frames[-1] = (dict(g), tag)
+        return ContextStack(frames)
 
     @property
     def top(self) -> Gamma:
         return self.frames[-1][0]
-
-    def gammas(self) -> list[Gamma]:
-        return [g for g, _ in self.frames]
 
 
 def _tag_matches(obj_tag: str, t: Type, cap: Cap) -> bool:
@@ -382,9 +427,22 @@ def _tag_matches(obj_tag: str, t: Type, cap: Cap) -> bool:
     return False
 
 
-def check_config_wf(gammas: Optional[ContextStack], m: Machine) -> dict:
+def check_config_wf(gammas: Optional[ContextStack], m: Machine,
+                    state: Optional["Fragments"] = None) -> dict:
     """Full well-formedness: frame/context agreement (tag-subtyping mode),
-    store integrity, capability_ok, and topology_ok."""
+    store integrity, capability_ok, and topology_ok.
+
+    Without state this is the brute-force spec.  With the per-run state of
+    an each-step run, the fast path re-checks only what the step touched;
+    a configuration it does not pass goes to the spec, which decides and
+    writes the report."""
+    if state is not None:
+        try:
+            if state.passes(gammas, m):
+                return {"verdict": True, "violations": []}
+        except GraphError:
+            pass
+        state.reset()
     violations: list[dict] = []
     # Structural checks.
     stack_ids = m.region_stack_ids()
@@ -425,6 +483,198 @@ def check_config_wf(gammas: Optional[ContextStack], m: Machine) -> dict:
     violations.extend(v1)
     violations.extend(v2)
     return {"verdict": not violations, "violations": violations}
+
+
+# ---------------------------------------------------------------------------
+# The each-step fast path
+# ---------------------------------------------------------------------------
+
+def _fragment_of(loc: Loc) -> tuple[str, int]:
+    return ("store", loc.r) if type(loc) is Heap else ("frame", loc.r)
+
+
+class _Fragment:
+    """One fragment's objects, refs, and what the refs count towards the
+    predicates that span fragments."""
+
+    __slots__ = ("objs", "refs", "temps_in", "var_targets", "external",
+                 "into")
+
+    def __init__(self, objs: frozenset[int], refs: list[Ref],
+                 rho: RegionOrder, fr) -> None:
+        self.objs = objs
+        self.refs = refs
+        indegree, self.var_targets = _in_degrees(refs)
+        # A var ref that passes location_ok targets a temporary.
+        self.temps_in = {loc: n for loc, n in indegree.items()
+                         if type(loc) is Temp}
+        self.external = {rd: len(group) for rd, group
+                         in _external_groups(rho, fr, refs).items()}
+        self.into = {loc.r for loc in indegree}
+
+
+class Fragments:
+    """Per-run summaries for check_config_wf's each-step fast path.
+
+    A fragment is one frame's variables and temporaries, or one region's
+    store.  The summaries describe the configuration of the last check
+    that passed, so every ref they hold passed every per-ref clause.  A
+    check extracts and checks again only the fragments the step touched:
+    the top frame before and after, any frame pushed or popped, the store
+    of every region that changed heap (and so joined or left the stack),
+    and the fragment of the object the effect writes or moves objects
+    into.  Fragments with refs into a region that changed heap are
+    checked again too.  The runner sets ``effect`` to the step's
+    effect before each check."""
+
+    def __init__(self) -> None:
+        self.effect: Optional[Effect] = None
+        self.reset()
+
+    def reset(self) -> None:
+        """Forget every summary: the next check extracts everything."""
+        self.frags: dict[tuple[str, int], _Fragment] = {}
+        self.where: dict[int, Loc] = {}
+        self.objects: dict[int, Object] = {}
+        self.status: dict[int, int] = {}  # region -> index of its heap
+        self.frames: list[Frame] = []
+        self.gammas: list[Gamma] = []
+
+    def passes(self, gammas: Optional[ContextStack], m: Machine) -> bool:
+        """True if the configuration is well formed; False if the spec
+        must decide.  A False leaves the summaries inconsistent, to be
+        reset."""
+        frames, heaps = m.frames, (m.h_op, m.h_cl, m.h_fr)
+        if gammas is None or len(gammas.frames) != len(frames):
+            return False
+        stack = [f.r for f in frames]
+        if sorted(stack) != sorted(m.h_op):
+            return False  # also rules out two roots for one region
+        status = {r: i for i, heap in enumerate(heaps) for r in heap}
+        if len(status) != sum(map(len, heaps)):
+            return False
+        old = self.status
+        changed = set()
+        if status != old:
+            changed = {r for r in status.keys() | old.keys()
+                       if status.get(r) != old.get(r)}
+        touched = self._touched(frames, changed)
+        if touched is None:
+            return False
+        frame_of = {f.r: f for f in frames}
+
+        def store_of(key):
+            kind, r = key
+            if kind == "frame":
+                return frame_of[r].temps if r in frame_of else None
+            return heaps[status[r]][r] if r in status else None
+
+        # Take the touched fragments' objects out of the index and put
+        # them back where they are now.
+        frags, where, objects = self.frags, self.where, self.objects
+        for key in touched:
+            if key in frags:
+                for iota in frags.pop(key).objs:
+                    del where[iota], objects[iota]
+        recheck: dict[tuple[str, int], frozenset[int]] = {}
+        for key in touched:
+            store = store_of(key)
+            if store is not None:
+                _add_objects(where, store,
+                             Temp if key[0] == "frame" else Heap, key[1])
+                objects.update(store)
+                recheck[key] = frozenset(store)
+        # Objects leave a fragment only with a region that changes heap:
+        # refs into such a region are checked again.
+        if changed:
+            for key, frag in frags.items():
+                if frag.into & changed:
+                    recheck[key] = frag.objs
+        rho = RegionOrder(stack[::-1])
+        cl, fr = m.h_cl, m.h_fr
+        violations: list[dict] = []
+        for key, objs in recheck.items():
+            kind, r = key
+            if kind == "frame":
+                refs = _frame_refs(frame_of[r], where)
+            else:
+                refs = _store_refs(r, heaps[status[r]][r], where)
+            for ref in refs:
+                _ref_violations(rho, cl, fr, ref, violations)
+            if violations:
+                return False
+            frags[key] = _Fragment(objs, refs, rho, fr)
+        # var_unique and topology_ok span fragments: sum their counts.
+        indegree: dict[Loc, int] = {}
+        var_targets: set[Loc] = set()
+        external: dict[int, int] = {}
+        for frag in frags.values():
+            for loc, n in frag.temps_in.items():
+                indegree[loc] = indegree.get(loc, 0) + n
+            var_targets |= frag.var_targets
+            for rd, n in frag.external.items():
+                external[rd] = external.get(rd, 0) + n
+        if (any(indegree.get(loc, 0) > 1 for loc in var_targets)
+                or any(n > 1 for n in external.values())):
+            return False
+        # Entry-point chains that run through a fragment checked again.
+        for below, above in zip(frames, frames[1:]):
+            if above.entry is None:
+                continue
+            iota_y, f = above.entry
+            loc_y = where.get(iota_y)
+            if loc_y is None:
+                return False
+            if (("frame", below.r) in recheck or ("frame", above.r) in recheck
+                    or _fragment_of(loc_y) in recheck):
+                if not _chain_ok(self._out_refs, loc_y, below.r, f, above.r):
+                    return False
+        # Frame typing, for the frames checked again or given a new context.
+        old_gammas = self.gammas
+        for i, ((gamma, _), frame) in enumerate(zip(gammas.frames, frames)):
+            if (i < len(old_gammas) and old_gammas[i] is gamma
+                    and ("frame", frame.r) not in recheck):
+                continue
+            _check_frame_typing(gamma, frame, objects, violations)
+            if violations:
+                return False
+        self.status = status
+        self.frames = frames[:]
+        self.gammas = [g for g, _ in gammas.frames]
+        return True
+
+    def _touched(self, frames: list[Frame], changed: set[int]
+                 ) -> Optional[set[tuple[str, int]]]:
+        """The fragments a step touched; None if the effect writes an
+        object the summaries do not know."""
+        prev = self.frames
+        n = 0
+        for a, b in zip(prev, frames):
+            if a is not b:
+                break
+            n += 1
+        touched = {("frame", f.r) for f in prev[n:] + frames[n:]}
+        touched.update(("store", r) for r in changed)
+        touched.add(("frame", frames[-1].r))
+        if prev:
+            touched.add(("frame", prev[-1].r))
+        eff = self.effect
+        kind = type(eff)
+        if kind is Swap or kind is ExitEff:
+            # The object y names: swap's target, exit's bridge.
+            v = frames[-1].vars.get(eff.y)
+            loc = self.where.get(v[1]) if v else None
+            if loc is None:
+                return touched if not prev else None
+            touched.add(_fragment_of(loc))
+        elif (kind is Halloc and eff.cap is Cap.MUT) or kind is MergeEff:
+            # The active region, which gains objects.
+            touched.add(("store", frames[-1].r))
+        return touched
+
+    def _out_refs(self, loc: Loc) -> list[Ref]:
+        return [ref for ref in self.frags[_fragment_of(loc)].refs
+                if ref.src == loc]
 
 
 def _objects_by_id(m: Machine) -> dict[int, Object]:
@@ -468,7 +718,9 @@ def _check_frame_typing(gamma: Gamma, frame, objects: dict[int, Object],
 # Effect well-formedness (wf-eff-*)
 # ---------------------------------------------------------------------------
 
-def _use_type(checker: Checker, gamma: Gamma, u) -> Optional[Type]:
+def _consume(checker: Checker, gamma: Gamma, u) -> Optional[Type]:
+    """The type of u; a drop buries u in gamma itself, which must be the
+    checker's _owned context."""
     try:
         t, _ = checker.check_use(gamma, u)
     except TypeCheckError:
@@ -476,23 +728,15 @@ def _use_type(checker: Checker, gamma: Gamma, u) -> Optional[Type]:
     return t
 
 
-def _consume(checker: Checker, gamma: Gamma, u) -> Optional[Type]:
-    try:
-        t, g2 = checker.check_use(gamma, u)
-    except TypeCheckError:
-        return None
-    if g2 is not gamma:
-        gamma.clear()
-        gamma.update(g2)
-    return t
-
-
 def check_effect_wf(gammas: ContextStack, eff: Effect,
                     classes: ClassTable) -> Optional[ContextStack]:
-    """Evolve the context stack by one effect; None if any premise fails."""
-    out = gammas.copy()
+    """Evolve the context stack by one effect; None if any premise fails.
+
+    The result shares every context but the top one with gammas, which is
+    left unchanged."""
+    out = gammas.copy_top()
     checker = Checker(classes, _EMPTY_FUNCS)
-    gamma = out.top
+    gamma = checker._owned = out.top
     if isinstance(eff, Eps):
         return out
     if isinstance(eff, Bind):
@@ -660,7 +904,9 @@ def _wf_exit(checker: Checker, out: ContextStack, eff: ExitEff,
     t_new = fresult(t_w, eff.g, classes)
     if t_new is None or not cap_in({Cap.MUT}, t_new):
         return None
-    gamma = out.top
+    gamma, tag = out.frames[-1]
+    gamma = dict(gamma)  # shared with the input stack until now
+    out.frames[-1] = (gamma, tag)
     t_y = gamma.get(eff.y)
     if t_y is None or t_y is UNDEF:
         return None

@@ -155,13 +155,16 @@ Effect = (Load | Swap | Halloc | Salloc | EnterEff | BadEnter | ExitEff
           | FreezeEff | MergeEff | CastEff | NoCastEff | Bind | Eps)
 
 
+EFFECT_NAMES: dict[type, str] = {
+    Load: "load", Swap: "swap", Halloc: "halloc", Salloc: "salloc",
+    EnterEff: "enter", BadEnter: "badenter", ExitEff: "exit",
+    FreezeEff: "freeze", MergeEff: "merge", CastEff: "cast",
+    NoCastEff: "nocast", Bind: "bind", Eps: "eps",
+}
+
+
 def effect_name(eff: Effect) -> str:
-    return {
-        Load: "load", Swap: "swap", Halloc: "halloc", Salloc: "salloc",
-        EnterEff: "enter", BadEnter: "badenter", ExitEff: "exit",
-        FreezeEff: "freeze", MergeEff: "merge", CastEff: "cast",
-        NoCastEff: "nocast", Bind: "bind", Eps: "eps",
-    }[type(eff)]
+    return EFFECT_NAMES[type(eff)]
 
 
 def effect_args(eff: Effect) -> list[str]:
@@ -318,8 +321,7 @@ class Machine:
     # -- stepping -----------------------------------------------------------------
 
     def step_effect(self, eff: Effect) -> None:
-        handler = getattr(self, "_step_" + effect_name(eff))
-        handler(eff)
+        _HANDLERS[type(eff)](self, eff)
 
     def _step_eps(self, eff: Eps) -> None:
         pass
@@ -530,3 +532,8 @@ class Machine:
             for r, store in heap.items():
                 for iota, obj in store.items():
                     yield kind, r, iota, obj
+
+
+# Effect type -> the Machine method that steps it.
+_HANDLERS = {kind: getattr(Machine, "_step_" + name)
+             for kind, name in EFFECT_NAMES.items()}

@@ -1,0 +1,214 @@
+"""The each-step fast path of check_config_wf against the brute-force spec.
+
+``Fragments.passes`` must pass exactly the configurations the spec finds
+well formed: a pass the spec refutes would hide a violation, and a refusal
+the spec overturns means the summaries went stale.
+"""
+from pathlib import Path
+
+import pytest
+
+from reggio import invariants
+from reggio.command import TandemRunner, Verdict, desugar_program
+from reggio.fuzz import GenConfig, generate
+from reggio.invariants import (ContextStack, Fragments, GraphError,
+                               check_config_wf)
+from reggio.machine import (EFFECT_NAMES, KNOWN_BUGS, V_UNDEF, Bind,
+                            EnterEff, Eps, FreezeEff, Halloc, Machine,
+                            Salloc, Swap)
+from reggio.model import Cap, ClassTable
+from reggio.syntax import Use, parse_program, parse_type
+
+CORPUS = Path(__file__).parent.parent / "corpus"
+
+
+class Lockstep(Fragments):
+    """Fragments that also run the spec on every configuration they see
+    and record each step where the two verdicts differ."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.checks = 0
+        self.mismatches: list[tuple[int, str, bool, bool]] = []
+
+    def passes(self, gammas, m) -> bool:
+        try:
+            fast = super().passes(gammas, m)
+        except GraphError:
+            fast = False
+        spec = check_config_wf(gammas, m)["verdict"]
+        self.checks += 1
+        if fast != spec:
+            self.mismatches.append(
+                (self.checks, type(self.effect).__name__, fast, spec))
+        return fast
+
+
+def _lockstep(prog, bugs: frozenset[str], budget: int):
+    runner = TandemRunner(prog, check="each-step", budget=budget, bugs=bugs)
+    runner.fragments = Lockstep()
+    result = runner.run()
+    return result, runner.fragments
+
+
+@pytest.mark.parametrize("bug", [None, *sorted(KNOWN_BUGS)])
+def test_fast_path_agrees_with_spec_at_every_step(bug):
+    """Every corpus program and campaign seeds 0-199 (budget 2,000), with
+    no bug and with each planted bug."""
+    bugs = frozenset() if bug is None else frozenset({bug})
+    progs = [(p.stem, desugar_program(parse_program(p.read_text())))
+             for p in sorted(CORPUS.glob("*.rgo"))]
+    progs += [(f"seed {s}", generate(GenConfig(seed=s, max_depth=8)))
+              for s in range(200)]
+    checks = 0
+    verdicts = set()
+    for name, prog in progs:
+        result, state = _lockstep(prog, bugs, budget=2000)
+        assert not state.mismatches, (name, state.mismatches[:3])
+        checks += state.checks
+        verdicts.add(result.verdict)
+    assert checks > len(progs)
+    if bug is not None:
+        assert Verdict.VIOLATION in verdicts
+
+
+def _classes() -> ClassTable:
+    t = ClassTable()
+    t.declare("C", [])
+    t.declare("H", [("h", parse_type("iso C"))])
+    t.declare("B", [("f", parse_type("imm C"))])
+    return t
+
+
+def _check(m: Machine, state: Lockstep, eff) -> dict:
+    state.effect = eff
+    report = check_config_wf(ContextStack(), m, state)
+    assert not state.mismatches
+    return report
+
+
+def test_write_to_untouched_store_is_rechecked():
+    """A swap re-checks the store of the object it writes, though the
+    step touches nothing else there."""
+    m, state = Machine(_classes()), Lockstep()
+    for eff in (Salloc("t", Cap.TMP, "C", ()),
+                Halloc("c", Cap.ISO, "C", ()),
+                FreezeEff("i", Use("c", True)),
+                Halloc("b", Cap.MUT, "B", (Use("i"),))):
+        m.step_effect(eff)
+        assert _check(m, state, eff)["verdict"]
+    # b.f := t stores a tmp ref in a heap object of region 0.
+    eff = Swap("old", "b", "f", Use("t"))
+    m.step_effect(eff)
+    assert not _check(m, state, eff)["verdict"]
+    assert state.checks == 5
+
+
+def test_region_change_rechecks_refs_into_it():
+    """A region that changes heap is re-checked from the fragments that
+    refer into it, though the step touches none of them."""
+    m, state = Machine(_classes()), Lockstep()
+    for eff in (Halloc("c", Cap.ISO, "C", ()),
+                Halloc("h", Cap.MUT, "H", (Use("c", True),))):
+        m.step_effect(eff)
+        assert _check(m, state, eff)["verdict"]
+    # Freeze c's region behind h's back: h.h is an iso ref from the open
+    # region 0 into a frozen region.
+    (r,) = m.h_cl
+    m.h_fr[r] = m.h_cl.pop(r)
+    report = _check(m, state, Eps())
+    assert not report["verdict"]
+    assert report == check_config_wf(ContextStack(), m)
+
+
+def test_entry_chain_is_rechecked():
+    """An entered region's entry-point chain is checked again when the
+    frame below it changes: here its root edge to the bridge object."""
+    m, state = Machine(_classes()), Lockstep()
+    gammas = ContextStack()
+    for eff in (Halloc("c", Cap.ISO, "C", ()),
+                Halloc("h", Cap.MUT, "H", (Use("c", True),))):
+        m.step_effect(eff)
+        state.effect = eff
+        assert check_config_wf(gammas, m, state)["verdict"]
+    eff = EnterEff("w", Cap.TMP, "h", "h", (("z", Use("h")),))
+    m.step_effect(eff)
+    gammas.frames.append(({}, ("h", "h")))
+    m.frames[0].vars["h"] = V_UNDEF  # only the paused z still reaches h
+    state.effect = eff
+    report = check_config_wf(gammas, m, state)
+    assert [v["predicate"] for v in report["violations"]] == [
+        "entrypoints_ok"]
+    assert not state.mismatches
+
+
+def test_var_unique_spans_refs():
+    """Two refs into one var cell, left by a drop that does not bury."""
+    m, state = Machine(_classes(), frozenset({"skip-bury"})), Lockstep()
+    steps = (Halloc("c", Cap.MUT, "C", ()),
+             Salloc("v", Cap.VAR, "Cell", (Use("c"),)),
+             Bind((("u", Use("v", True)),)))
+    for eff in steps:
+        m.step_effect(eff)
+        report = _check(m, state, eff)
+    assert [v["predicate"] for v in report["violations"]] == ["var_unique"]
+    assert state.checks == 3
+
+
+def test_new_context_retypes_untouched_frame():
+    """A frame the step did not touch is typed again when its context is
+    not the one the last check saw."""
+    m, state = Machine(_classes()), Lockstep()
+    gammas = ContextStack()
+    for eff in (Halloc("c", Cap.ISO, "C", ()),
+                Halloc("h", Cap.MUT, "H", (Use("c", True),)),
+                EnterEff("w", Cap.TMP, "h", "h", ())):
+        m.step_effect(eff)
+        if isinstance(eff, EnterEff):
+            gammas.frames.append(({}, ("h", "h")))
+        state.effect = eff
+        assert check_config_wf(gammas, m, state)["verdict"]
+    # The bottom frame binds h to an H object; a new context types it C.
+    gammas.frames[0] = ({"h": parse_type("mut C")}, None)
+    state.effect = Eps()
+    assert not check_config_wf(gammas, m, state)["verdict"]
+    assert not state.mismatches
+
+
+class _PassAll(Fragments):
+    def passes(self, gammas, m) -> bool:
+        return True
+
+
+def test_final_state_goes_to_spec():
+    """An each-step run's final state is checked by the spec, whatever
+    the fast path said."""
+    prog = generate(GenConfig(seed=0, max_depth=8))
+    runner = TandemRunner(prog, check="each-step",
+                          bugs=frozenset({"exit-mut-writeback"}))
+    runner.fragments = _PassAll()
+    result = runner.run()
+    assert result.verdict is Verdict.VIOLATION
+    assert result.report == check_config_wf(runner.gammas, runner.machine)
+
+
+def test_effect_wf_leaves_input_contexts_unchanged(monkeypatch):
+    """check_effect_wf copies the top context only, and the frame below
+    on exit before writing it: the input stack never changes."""
+    evolve = invariants.check_effect_wf
+    seen = set()
+
+    def checked(gammas, eff, classes):
+        before = [(dict(g), tag) for g, tag in gammas.frames]
+        dicts = [g for g, _ in gammas.frames]
+        out = evolve(gammas, eff, classes)
+        assert [(dict(g), tag) for g, tag in gammas.frames] == before
+        assert all(a is b for (a, _), b in zip(gammas.frames, dicts))
+        seen.add(EFFECT_NAMES[type(eff)])
+        return out
+
+    monkeypatch.setattr(invariants, "check_effect_wf", checked)
+    for seed in range(50):
+        prog = generate(GenConfig(seed=seed, max_depth=8))
+        TandemRunner(prog, check="final", budget=2000).run()
+    assert seen == set(EFFECT_NAMES.values())
