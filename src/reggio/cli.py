@@ -7,7 +7,8 @@ Subcommands:
   fuzz [--seeds=N] [--depth=D] ...  soundness campaign
 
 Exit codes: 0 done; 1 type error; 2 failed (badenter); 3 stuck or invariant
-violation; 4 budget exhausted; 10 I/O error.
+violation; 4 budget exhausted; 5 internal error (a defect of reggio,
+reported in one line); 10 I/O error.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ import argparse
 import json
 import sys
 
-from .command import TandemRunner, Verdict, desugar_program
+from .command import TandemRunner, Verdict
 from .machine import KNOWN_BUGS, effect_args, effect_name
 from .syntax import ParseError, parse_program, pretty_type
 from .typecheck import TypeCheckError, check_program
@@ -25,6 +26,7 @@ EXIT_TYPE_ERROR = 1
 EXIT_FAILED = 2
 EXIT_STUCK = 3
 EXIT_BUDGET = 4
+EXIT_INTERNAL = 5
 EXIT_IO = 10
 
 _VERDICT_CODES = {
@@ -81,7 +83,6 @@ def _parse_bugs(arg: str) -> frozenset[str]:
 
 def cmd_run(args) -> int:
     prog, _ = _check(args.file)
-    desugar_program(prog)
     runner = TandemRunner(prog, check=args.invariant_check,
                           budget=args.budget,
                           bugs=_parse_bugs(args.bugs))
@@ -98,7 +99,6 @@ def cmd_run(args) -> int:
 
 def cmd_trace(args) -> int:
     prog, _ = _check(args.file)
-    desugar_program(prog)
 
     def observer(step, eff, verdict_ok) -> None:
         m = runner.machine
@@ -170,7 +170,11 @@ def main(argv=None) -> int:
     p_fuzz.set_defaults(fn=cmd_fuzz)
 
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except Exception as exc:  # not an expected failure: a defect of reggio
+        print(f"reggio: internal error: {exc!r}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -16,12 +16,13 @@ from enum import Enum
 from typing import Callable, Optional
 
 from .invariants import ContextStack, Fragments
-from .model import Cap, FunSig
+from .model import Cap, FunctionTable, FunSig
 from .machine import (BadEnter, Bind, CastEff, Effect, EnterEff, Eps,
                       ExitEff, FreezeEff, Halloc, Load, Machine, MergeEff,
                       NoCastEff, Salloc, Stuck, Swap)
 from .syntax import (Assign, Call, Deref, Enter, Expr, Freeze, Let, LVal,
-                     Merge, New, Program, TypeTest, Use, VarAlloc)
+                     Merge, New, Program, TypeTest, Use, VarAlloc, rebuild,
+                     walk)
 
 
 class _Failure:
@@ -87,18 +88,11 @@ def binder_count(e: Expr) -> int:
     callee's body apart at the call would, so that every later fresh name
     keeps its number."""
     n = 0
-    work = [e]
-    while work:
-        x = work.pop()
-        if isinstance(x, Let):
+    for x, _, _, k in walk(e):
+        if k == 0 and isinstance(x, (Let, TypeTest)):
             n += 1
-            work += (x.binding, x.body)
-        elif isinstance(x, TypeTest):
-            n += 1
-            work += (x.then, x.els)
-        elif isinstance(x, Enter):
+        elif k == 0 and isinstance(x, Enter):
             n += len(x.captures) + 1
-            work.append(x.body)
     return n
 
 
@@ -158,34 +152,21 @@ def desugar_explore(e: Enter) -> Enter:
     return Enter(e.target, outer_caps, outer_binder, outer_body, False, pos)
 
 
-def desugar_program(prog: Program) -> Program:
-    def walk(e):
-        if isinstance(e, Let):
-            # A let spine is walked in a loop and rebuilt from the bottom
-            # up, so its length is not bounded by the recursion limit.
-            spine = []
-            while isinstance(e, Let):
-                spine.append((e, walk(e.binding)))
-                e = e.body
-            e = walk(e)
-            for let, binding in reversed(spine):
-                e = replace(let, binding=binding, body=e)
-            return e
-        if isinstance(e, TypeTest):
-            return replace(e, then=walk(e.then), els=walk(e.els))
-        if isinstance(e, Enter):
-            e = replace(e, body=walk(e.body))
-            if e.explore:
-                return walk(desugar_explore(e))
-            return e
-        return e
+def desugar(e: Expr) -> Expr:
+    """e with every explore desugared."""
+    return rebuild(e, lambda x, _: desugar_explore(x)
+                   if isinstance(x, Enter) and x.explore else x)
 
-    prog.main = walk(prog.main)
-    for fname in prog.fn_order:
+
+def desugar_program(prog: Program) -> Program:
+    """prog with every explore desugared; prog itself is left as it is."""
+    functions = FunctionTable()
+    for fname in prog.functions.names():
         sig = prog.functions.lookup(fname)
-        prog.functions._funcs[fname] = FunSig(sig.params, sig.result,
-                                              walk(sig.body))
-    return prog
+        functions.declare(fname, FunSig(sig.params, sig.result,
+                                        desugar(sig.body)))
+    return Program(prog.classes, functions, desugar(prog.main),
+                   prog.class_order, prog.fn_order)
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +220,9 @@ class TandemRunner:
     The command machine's state is a control expression, the environment
     ``env`` that renames its free source names to runtime names, and a
     stack of continuation frames.  The control is a source subexpression
-    and is never rewritten, so a step costs O(arguments of the redex)."""
+    and is never rewritten, so a step costs O(arguments of the redex).
+    An explore is desugared when the control reaches it, so the runner
+    behaves as on desugar_program(prog) without a pass over prog."""
 
     def __init__(self, prog: Program, check: str = "off",
                  budget: int = 100_000,
@@ -327,6 +310,8 @@ class TandemRunner:
             stack.pop()
 
     def _step_enter(self, c: Let, b: Enter) -> Effect:
+        if b.explore:
+            b = desugar_explore(b)
         env = self.env
         target = rename_lval(b.target, env)
         fld = target.fld if target.fld is not None else "val"
@@ -369,7 +354,7 @@ class TandemRunner:
             env[pname] = p2
             pairs.append((p2, rename_use(arg, self.env)))
         if b.fn not in self._binders:
-            self._binders[b.fn] = binder_count(sig.body)
+            self._binders[b.fn] = binder_count(desugar(sig.body))
         self.names.counter += self._binders[b.fn]
         self.stack.append(LetFrame(c.name, c.body, self.env))
         self.env = env

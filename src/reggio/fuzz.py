@@ -17,11 +17,11 @@ from .command import TandemRunner, Verdict
 from .model import (Cap, CapType, CellHead, ClassName, ClassTable, FunSig,
                     FunctionTable, Type, UnionType, cap_in, cap_not_in,
                     fresult, leaves, make_cell, make_imm, make_iso, make_mut,
-                    subtype, vpa_type)
+                    vpa_type)
 from .syntax import (Assign, Call, Deref, Enter, Expr, Freeze, Let, LVal,
-                     Merge, New, Program, TypeTest, Use, VarAlloc,
-                     pretty_program)
-from .typecheck import Checker, TypeCheckError, check_program
+                     Merge, New, Program, TypeTest, Use, VarAlloc, fold,
+                     pretty_program, rebuild, walk)
+from .typecheck import TypeCheckError, check_program
 
 # ---------------------------------------------------------------------------
 # Configuration
@@ -557,13 +557,30 @@ def _unused_sites(e: Expr) -> tuple[list[int], list[tuple[int, int]]]:
     occur in the enter's body.  A name occurs in an expression when a Use
     or LVal in it mentions the name, which over-approximates its free
     names."""
-    lets: list[bool] = []
-    enters: list[list[int]] = []
+    lets: list[int] = []
+    captures: list[tuple[int, int]] = []
 
-    def names(x) -> set[str]:
-        # A fresh set that the caller may extend.  Let and Enter nodes are
-        # numbered on the way down, so indices follow preorder.
-        if isinstance(x, (Use, LVal)):
+    def names(x: Expr, index: int, kids: list[set[str]]) -> set[str]:
+        # A fresh set that the caller may extend.
+        if isinstance(x, Let):
+            binding, body = kids
+            if x.name not in body:
+                lets.append(index)
+            body |= binding
+            return body
+        if isinstance(x, Enter):
+            (body,) = kids
+            captures.extend((index, i) for i, (y, _u) in enumerate(x.captures)
+                            if y not in body)
+            body.add(x.target.name)
+            body.update(u.name for _y, u in x.captures)
+            return body
+        if isinstance(x, TypeTest):
+            then, els = kids
+            then |= els
+            then.add(x.use.name)
+            return then
+        if isinstance(x, Use):
             return {x.name}
         if isinstance(x, Deref):
             return {x.target.name}
@@ -571,77 +588,25 @@ def _unused_sites(e: Expr) -> tuple[list[int], list[tuple[int, int]]]:
             return {x.target.name, x.use.name}
         if isinstance(x, (VarAlloc, Freeze, Merge)):
             return {x.use.name}
-        if isinstance(x, (New, Call)):
-            return {a.name for a in x.args}
-        if isinstance(x, Let):
-            here = len(lets)
-            lets.append(False)
-            binding = names(x.binding)
-            body = names(x.body)
-            lets[here] = x.name not in body
-            body |= binding
-            return body
-        if isinstance(x, Enter):
-            here = len(enters)
-            enters.append([])
-            body = names(x.body)
-            enters[here] = [i for i, (y, _u) in enumerate(x.captures)
-                            if y not in body]
-            body.add(x.target.name)
-            body.update(u.name for _y, u in x.captures)
-            return body
-        if isinstance(x, TypeTest):
-            out = names(x.then)
-            out |= names(x.els)
-            out.add(x.use.name)
-            return out
-        return set()
+        return {a.name for a in x.args}  # New, Call
 
-    names(e)
-    return ([i for i, unused in enumerate(lets) if unused],
-            [(i, k) for i, ks in enumerate(enters) for k in ks])
+    fold(e, names)
+    return sorted(lets), sorted(captures)
 
 
 def _remove_let(e: Expr, target: int) -> Expr:
-    idx = 0
-
-    def walk(x):
-        nonlocal idx
-        if isinstance(x, Let):
-            here = idx
-            idx += 1
-            if here == target:
-                return walk(x.body)
-            return replace(x, binding=walk(x.binding), body=walk(x.body))
-        if isinstance(x, Enter):
-            return replace(x, body=walk(x.body))
-        if isinstance(x, TypeTest):
-            return replace(x, then=walk(x.then), els=walk(x.els))
-        return x
-
-    return walk(e)
+    return rebuild(e, lambda x, i: x.body if i == target else x)
 
 
 def _remove_capture(e: Expr, target: tuple[int, int]) -> Expr:
-    idx = 0
+    enter, k = target
 
-    def walk(x):
-        nonlocal idx
-        if isinstance(x, Enter):
-            here = idx
-            idx += 1
-            caps = x.captures
-            if here == target[0]:
-                caps = tuple(c for i, c in enumerate(caps)
-                             if i != target[1])
-            return replace(x, captures=caps, body=walk(x.body))
-        if isinstance(x, Let):
-            return replace(x, binding=walk(x.binding), body=walk(x.body))
-        if isinstance(x, TypeTest):
-            return replace(x, then=walk(x.then), els=walk(x.els))
-        return x
+    def visit(x: Expr, i: int) -> Expr:
+        if i != enter:
+            return x
+        return replace(x, captures=x.captures[:k] + x.captures[k + 1:])
 
-    return walk(e)
+    return rebuild(e, visit)
 
 
 def _used_decls(prog: Program) -> tuple[list[str], list[str]]:
@@ -650,41 +615,28 @@ def _used_decls(prog: Program) -> tuple[list[str], list[str]]:
 
     def types_of(t: Type) -> None:
         for lf in leaves(t):
-            head = lf.head
-            while isinstance(head, CellHead):
-                types_of(head.param)
-                return
-            classes.add(head.name)
+            if isinstance(lf.head, CellHead):
+                types_of(lf.head.param)
+            else:
+                classes.add(lf.head.name)
 
-    def walk(x) -> None:
-        if isinstance(x, New):
-            classes.add(x.cls)
-            for a in x.args:
-                walk(a)
-        elif isinstance(x, Call):
-            fns.add(x.fn)
-        elif isinstance(x, Enter):
-            walk(x.body)
-        elif isinstance(x, Let):
-            walk(x.binding)
-            walk(x.body)
-        elif isinstance(x, TypeTest):
-            types_of(x.ty)
-            walk(x.then)
-            walk(x.els)
-        elif isinstance(x, Assign):
-            walk(x.use)
-        elif isinstance(x, (VarAlloc, Freeze, Merge)):
-            walk(x.use)
+    def decls_in(e: Expr) -> None:
+        for x, _, _, k in walk(e):
+            if isinstance(x, New):
+                classes.add(x.cls)
+            elif isinstance(x, Call):
+                fns.add(x.fn)
+            elif isinstance(x, TypeTest) and k == 0:
+                types_of(x.ty)
 
-    walk(prog.main)
+    decls_in(prog.main)
     for fname in prog.fn_order:
         if fname in fns:
             sig = prog.functions.lookup(fname)
             for _, t in sig.params:
                 types_of(t)
             types_of(sig.result)
-            walk(sig.body)
+            decls_in(sig.body)
     # Fields of used classes pull in more classes, transitively.
     changed = True
     while changed:

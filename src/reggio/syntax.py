@@ -1,4 +1,5 @@
-"""Concrete syntax: AST, lexer, recursive-descent parser, pretty-printer.
+"""Concrete syntax: AST, traversal, lexer, recursive-descent parser,
+pretty-printer.
 
 Grammar sketch (programs live in `.rgo` files):
 
@@ -25,7 +26,8 @@ Grammar sketch (programs live in `.rgo` files):
 from __future__ import annotations
 
 import string
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from operator import is_not
 from typing import Callable, Iterator, TypeVar
 
 from .model import (Cap, CapType, CellHead, ClassName, FunSig, Type,
@@ -148,9 +150,7 @@ class Enter:
     pos: Pos = (0, 0)
 
     def __str__(self) -> str:
-        kw = "explore" if self.explore else "enter"
-        caps = ", ".join(f"{y} = {u}" for y, u in self.captures)
-        return f"{kw} {self.target} [{caps}] {{ {self.binder} => {self.body} }}"
+        return pretty_expr(self)
 
 
 @dataclass(frozen=True)
@@ -174,7 +174,7 @@ class Let:
     pos: Pos = (0, 0)
 
     def __str__(self) -> str:
-        return f"let {self.name} = {self.binding} in {self.body}"
+        return pretty_expr(self)
 
 
 @dataclass(frozen=True)
@@ -189,9 +189,7 @@ class TypeTest:
     pos: Pos = (0, 0)
 
     def __str__(self) -> str:
-        return (f"if typetest({self.use}, {self.ty}) "
-                f"{{ {self.binder} => {self.then} }} "
-                f"else {{ {self.binder} => {self.els} }}")
+        return pretty_expr(self)
 
 
 Expr = (Use | Deref | Assign | VarAlloc | New | Freeze | Merge | Enter
@@ -205,6 +203,75 @@ class Program:
     main: Expr
     class_order: list[str] = field(default_factory=list)
     fn_order: list[str] = field(default_factory=list)
+
+
+# ---------------------------------------------------------------------------
+# Traversal
+# ---------------------------------------------------------------------------
+
+def children(e: Expr) -> tuple[Expr, ...]:
+    """The sub-expressions of e, in source order."""
+    if isinstance(e, Let):
+        return e.binding, e.body
+    if isinstance(e, Enter):
+        return (e.body,)
+    if isinstance(e, TypeTest):
+        return e.then, e.els
+    return ()
+
+
+def _with_children(e: Expr, kids: list[Expr]) -> Expr:
+    """e with its sub-expressions replaced by kids."""
+    if isinstance(e, Let):
+        return replace(e, binding=kids[0], body=kids[1])
+    if isinstance(e, Enter):
+        return replace(e, body=kids[0])
+    return replace(e, then=kids[0], els=kids[1])
+
+
+def walk(e: Expr) -> Iterator[tuple[Expr, int, tuple[Expr, ...], int]]:
+    """The visits to the nodes of e in source order, driven by an explicit
+    stack, so the depth of e is not bounded by the recursion limit.
+
+    A node with n children is visited n + 1 times, as (node, index, kids,
+    k): before its k-th child for k < n, and after its last child for
+    k = n.  index is the node's preorder index and kids its children."""
+    count = 0
+    stack = [(e, 0, children(e), 0)]
+    while stack:
+        visit = stack.pop()
+        yield visit
+        node, index, kids, k = visit
+        if k < len(kids):
+            count += 1
+            stack.append((node, index, kids, k + 1))
+            stack.append((kids[k], count, children(kids[k]), 0))
+
+
+def fold(e: Expr, leave: Callable[[Expr, int, list[T]], T]) -> T:
+    """leave(node, index, the results at its children), bottom up; the
+    result at e."""
+    results: list[T] = []
+    for node, index, kids, k in walk(e):
+        if k == len(kids):
+            first = len(results) - k
+            value = leave(node, index, results[first:])
+            del results[first:]
+            results.append(value)
+    return results[0]
+
+
+def rebuild(e: Expr, visit: Callable[[Expr, int], Expr]) -> Expr:
+    """e with each node replaced by visit(node, index), bottom up, so that
+    visit sees a node with its children already replaced.  A node none of
+    whose children changed is passed on as it is: a pass that changes
+    nothing returns e itself and allocates no node."""
+    def leave(node: Expr, index: int, kids: list[Expr]) -> Expr:
+        if any(map(is_not, kids, children(node))):
+            node = _with_children(node, kids)
+        return visit(node, index)
+
+    return fold(e, leave)
 
 
 # ---------------------------------------------------------------------------
@@ -581,27 +648,25 @@ def pretty_type(t: Type) -> str:
     return str(t)
 
 
-def pretty_expr(e: Expr) -> str:
-    if isinstance(e, Let) and not isinstance(e.binding, (Use, Deref, Assign,
-                                                         VarAlloc, New,
-                                                         Freeze, Merge,
-                                                         Enter, Call)):
-        # A nested let/typetest binding needs its parenthesized form.
-        return (f"let {e.name} = ({pretty_expr(e.binding)}) "
-                f"in {pretty_expr(e.body)}")
+def _layout(e: Expr) -> tuple[str, ...]:
+    """The text of e around its children: before each one, then after the
+    last."""
     if isinstance(e, Let):
-        return (f"let {e.name} = {pretty_expr(e.binding)} "
-                f"in {pretty_expr(e.body)}")
+        if isinstance(e.binding, (Let, TypeTest)):  # the parser needs ()
+            return f"let {e.name} = (", ") in ", ""
+        return f"let {e.name} = ", " in ", ""
     if isinstance(e, Enter):
         kw = "explore" if e.explore else "enter"
         caps = ", ".join(f"{y} = {u}" for y, u in e.captures)
-        return (f"{kw} {e.target} [{caps}] "
-                f"{{ {e.binder} => {pretty_expr(e.body)} }}")
+        return f"{kw} {e.target} [{caps}] {{ {e.binder} => ", " }"
     if isinstance(e, TypeTest):
         return (f"if typetest({e.use}, {pretty_type(e.ty)}) "
-                f"{{ {e.binder} => {pretty_expr(e.then)} }} "
-                f"else {{ {e.binder} => {pretty_expr(e.els)} }}")
-    return str(e)
+                f"{{ {e.binder} => ", f" }} else {{ {e.binder} => ", " }")
+    return (str(e),)
+
+
+def pretty_expr(e: Expr) -> str:
+    return "".join(_layout(x)[k] for x, _, _, k in walk(e))
 
 
 def pretty_program(prog: Program) -> str:

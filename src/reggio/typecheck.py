@@ -144,14 +144,6 @@ class Checker:
                   f"iso/var; use `drop {u.name}`", u.pos)
         return t, gamma
 
-    def check_uses(self, gamma: Gamma,
-                   uses: tuple[Use, ...]) -> tuple[list[Type], Gamma]:
-        ts: list[Type] = []
-        for u in uses:
-            t, gamma = self.check_use(gamma, u)
-            ts.append(t)
-        return ts, gamma
-
     # -- expressions -----------------------------------------------------------
 
     def check_expr(self, gamma: Gamma, e: Expr,

@@ -16,6 +16,7 @@ from cli_harness import run_cli as _cli
 
 ROOT = Path(__file__).parent.parent
 CORPUS = ROOT / "corpus"
+GOLDEN = Path(__file__).parent / "golden"
 
 from test_core import HAND_TABLE  # the independently transcribed table
 
@@ -133,7 +134,8 @@ def test_acceptance_6_soundness_campaign():
                        budget=10_000, bugs=frozenset())
         assert res.runs == 1000
         assert res.abort_seed is None, res.summary()
-        assert "0 stuck, 0 violations" in res.summary()
+        assert res.summary() == ("1000 runs: 784 done, 195 failed, "
+                                 "21 budget, 0 stuck, 0 violations")
     assert c.elapsed < 600.0
 
 
@@ -145,7 +147,8 @@ def test_acceptance_7_planted_bugs_caught():
             res = campaign(1000, GenConfig(seed=0, max_depth=8),
                            budget=10_000, bugs=frozenset({bug}))
             assert res.abort_seed is not None, bug
-            assert res.counterexample is not None, bug
+            assert res.counterexample == (
+                GOLDEN / f"{bug}.witness").read_text(), bug
     assert c.elapsed < 3600.0
 
 

@@ -39,6 +39,20 @@ def test_missing_file_exit_10():
     assert p.returncode == 10
 
 
+def test_internal_error_exit_5_without_traceback(tmp_path):
+    # The parser recurses once per let, so 1200 lets exceed its recursion
+    # limit: an error no other exit code describes.
+    n = 1200
+    f = tmp_path / "chain.rgo"
+    f.write_text("class A { }\nlet x0 = new mut A() in\n"
+                 + "".join(f"let x{i} = x{i - 1} in\n" for i in range(1, n))
+                 + f"x{n - 1}\n")
+    p = _cli("check", str(f))
+    assert p.returncode == 5
+    assert "Traceback" not in p.stderr
+    assert len(p.stderr.splitlines()) == 1, p.stderr
+
+
 def test_run_exit_codes():
     cases = {
         "listing1.rgo": 0,

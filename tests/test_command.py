@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from reggio.command import (TandemRunner, Verdict, desugar_explore,
-                            synth_effect)
+                            desugar_program, synth_effect)
 from reggio.machine import (Bind, FreezeEff, Halloc, Load, MergeEff, Salloc,
                             Swap)
 from reggio.model import Cap
@@ -84,6 +84,46 @@ def test_alpha_rename_freshens_lets():
     out = alpha_rename(e, FreshNames(), {})
     assert out.name != out.body.name
     assert out.body.body.name == out.body.name
+
+
+def _trace(prog):
+    effects = []
+    result = TandemRunner(prog, check="each-step", observer=lambda step,
+                          eff, ok: effects.append(eff)).run()
+    return effects, result
+
+
+def test_runner_desugars_explore():
+    # An explore given straight to the runner runs as its desugaring, not
+    # as a plain enter.
+    prog = parse_program((CORPUS / "explore.rgo").read_text())
+    check_program(prog)
+    effects, result = _trace(prog)
+    assert (result.verdict, result.steps) == (Verdict.DONE, 10)
+    assert (effects, result) == _trace(desugar_program(prog))
+
+
+def test_desugar_program_leaves_its_input_unchanged():
+    # f's explore also moves the fresh names after each call by the
+    # binders of its desugaring.
+    src = ("class I { }\n"
+           "fn f(): iso I { let i = new iso I() in let u = var drop i in "
+           "let r = explore u [] { z => let d = new iso I() in drop d } "
+           "in drop r }\n"
+           "let a = f() in let b = f() in let i = new iso I() in "
+           "let u = var drop i in "
+           "let r = explore u [] { z => let d = new iso I() in drop d } "
+           "in drop r")
+    prog = parse_program(src)
+    check_program(prog)
+    out = desugar_program(prog)
+    assert prog.main.body.body.body.body.binding.explore
+    assert prog.functions.lookup("f").body.body.body.binding.explore
+    assert not out.main.body.body.body.body.binding.explore
+    assert not out.functions.lookup("f").body.body.body.binding.explore
+    effects, result = _trace(prog)
+    assert result.verdict is Verdict.DONE
+    assert (effects, result) == _trace(out)
 
 
 # -- verdicts ------------------------------------------------------------------

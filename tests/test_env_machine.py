@@ -8,11 +8,12 @@ from pathlib import Path
 
 import pytest
 
-from reggio.command import TandemRunner, Verdict, desugar_program
-from reggio.fuzz import GenConfig, generate
+from reggio.command import (TandemRunner, Verdict, binder_count,
+                            desugar_program)
+from reggio.fuzz import GenConfig, _remove_let, _unused_sites, generate
 from reggio.machine import KNOWN_BUGS, effect_args, effect_name
 from reggio.model import Cap, ClassTable, FunctionTable
-from reggio.syntax import Let, New, Program, Use, parse_program
+from reggio.syntax import Let, New, Program, Use, parse_program, pretty_expr
 from reggio.typecheck import check_program
 
 from subst_reference import SubstRunner
@@ -147,3 +148,16 @@ def test_long_chain_desugars_and_runs():
     result = TandemRunner(prog, check="off").run()
     assert (result.verdict, result.steps) == (Verdict.DONE, 5000)
     assert result.detail == "x4999$5000"
+
+
+def test_long_chain_walks_without_recursion():
+    # Every walker over the AST finishes on 5000 lets.
+    main = _chain(5000).main
+    text = pretty_expr(main)
+    assert str(main) == text
+    assert text.endswith("let x4998 = x4997 in let x4999 = x4998 in x4999")
+    assert binder_count(main) == 5000
+    assert _unused_sites(main) == ([], [])
+    # The let binding x4999 is node 2 * 4999 in preorder.
+    shorter = pretty_expr(_remove_let(main, 2 * 4999))
+    assert shorter == text.replace("let x4999 = x4998 in ", "")

@@ -2,8 +2,9 @@
 import pytest
 
 from reggio.command import TandemRunner, Verdict
-from reggio.fuzz import (CampaignResult, GenConfig, _unused_sites, campaign,
-                         generate, shrink, soundness_run)
+from reggio.fuzz import (CampaignResult, GenConfig, _unused_sites,
+                         _used_decls, campaign, generate, shrink,
+                         soundness_run)
 from reggio.syntax import (Assign, Call, Deref, Enter, Freeze, Let, LVal,
                            Merge, New, TypeTest, Use, VarAlloc, parse_program,
                            pretty_program)
@@ -119,19 +120,17 @@ def _names_in(e) -> set[str]:
 def _sites_by_rescan(e):
     let_sites: list[int] = []
     capture_sites: list[tuple[int, int]] = []
-    counts = {"let": 0, "enter": 0}
+    count = [0]  # the nodes numbered so far, in preorder
 
     def walk(x) -> None:
+        here = count[0]
+        count[0] += 1
         if isinstance(x, Let):
-            here = counts["let"]
-            counts["let"] += 1
             if x.name not in _names_in(x.body):
                 let_sites.append(here)
             walk(x.binding)
             walk(x.body)
         elif isinstance(x, Enter):
-            here = counts["enter"]
-            counts["enter"] += 1
             used = _names_in(x.body)
             for i, (y, _u) in enumerate(x.captures):
                 if y not in used:
@@ -168,7 +167,13 @@ def test_unused_sites_with_reused_names():
            "else { y => let u = u in b }")
     main = parse_program(src).main
     assert _unused_sites(main) == _sites_by_rescan(main)
-    assert _unused_sites(main) == ([5, 7], [(0, 0), (0, 2)])
+    assert _unused_sites(main) == ([10, 17], [(9, 0), (9, 2)])
+
+
+def test_used_decls_follow_every_leaf_of_a_union():
+    prog = parse_program("class A { f: iso Cell[mut A] | imm B }\n"
+                         "class B { }\nlet a = new mut A() in a")
+    assert _used_decls(prog) == (["A", "B"], [])
 
 
 def _triggers_exit_keep_temps(p) -> bool:

@@ -108,3 +108,6 @@ def test_duplicate_class_is_parse_error():
 def test_pretty_expr_parenthesizes_nested_let():
     e = parse_expr("let x = (let y = new mut C() in y) in x")
     assert pretty_expr(e).startswith("let x = (let ")
+    # str prints by the same rule, so its text parses back too.
+    assert str(e) == pretty_expr(e)
+    assert parse_expr(str(e)) == e
