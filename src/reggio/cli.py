@@ -17,7 +17,8 @@ import json
 import sys
 
 from .command import TandemRunner, Verdict
-from .machine import KNOWN_BUGS, effect_args, effect_name
+from .machine import (CLOSED, FROZEN, KNOWN_BUGS, OPEN, effect_args,
+                      effect_name)
 from .syntax import ParseError, parse_program, pretty_type
 from .typecheck import TypeCheckError, check_program
 
@@ -102,14 +103,15 @@ def cmd_trace(args) -> int:
 
     def observer(step, eff, verdict_ok) -> None:
         m = runner.machine
+        states = [region.state for region in m.regions.values()]
         record = {
             "step": step,
             "effect": effect_name(eff),
             "args": effect_args(eff),
             "rs": m.region_stack_ids(),
-            "open": len(m.h_op),
-            "closed": len(m.h_cl),
-            "frozen": len(m.h_fr),
+            "open": states.count(OPEN),
+            "closed": states.count(CLOSED),
+            "frozen": states.count(FROZEN),
         }
         if verdict_ok is not None:
             record["verdict"] = "ok" if verdict_ok else "violation"

@@ -630,8 +630,12 @@ def _used_decls(prog: Program) -> tuple[list[str], list[str]]:
                 types_of(x.ty)
 
     decls_in(prog.main)
-    for fname in prog.fn_order:
-        if fname in fns:
+    # Called functions call more functions: scan until no new callee.
+    scanned: set[str] = set()
+    while todo := [f for f in prog.fn_order
+                   if f in fns and f not in scanned]:
+        for fname in todo:
+            scanned.add(fname)
             sig = prog.functions.lookup(fname)
             for _, t in sig.params:
                 types_of(t)

@@ -15,13 +15,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .model import (Cap, CapType, CellHead, ClassTable, Type, cap_in,
-                    cap_not_in, fresult, leaves, make_cell, make_imm,
-                    make_iso, make_mut, subtype, vpa)
-from .machine import (BadEnter, Bind, CastEff, Effect, EnterEff, Eps,
-                      ExitEff, Frame, FreezeEff, Halloc, Load, Machine,
-                      MergeEff, NoCastEff, Object, Salloc, Store, Swap,
-                      V_UNDEF)
+from .model import (Cap, CapType, CellHead, ClassName, ClassTable,
+                    FunctionTable, Type, UnionType, cap_in, cap_not_in,
+                    fresult, leaves, make_cell, make_imm, make_iso, make_mut,
+                    subtype, tag_matches, vpa_type)
+from .machine import (CLOSED, FROZEN, OPEN, BadEnter, Bind, CastEff, Effect,
+                      EnterEff, Eps, ExitEff, Frame, FreezeEff, Halloc, Load,
+                      Machine, MergeEff, NoCastEff, Object, Salloc, Store,
+                      Swap, V_UNDEF)
 from .typecheck import (UNDEF, Checker, Gamma, TypeCheckError,
                         fresult_keep_iso)
 
@@ -57,10 +58,6 @@ class Root:
 
 
 Loc = Heap | Temp | Root
-
-
-def loc_region(loc: Loc) -> int:
-    return loc.r
 
 
 @dataclass(frozen=True)
@@ -135,8 +132,9 @@ def build_graph(m: Machine) -> ConfigGraph:
     """Rebuild (L, R) from a machine state.
 
     Frames contribute Root(r), Temp locations, and variable edges (buried
-    bindings contribute nothing); heaps contribute Heap locations and field
-    edges.  Duplicate object-ids or duplicate roots are separation errors.
+    bindings contribute nothing); region stores contribute Heap locations
+    and field edges.  Duplicate object-ids or duplicate roots are
+    separation errors.
     """
     where: dict[int, Loc] = {}
     roots: set[Loc] = set()
@@ -146,15 +144,13 @@ def build_graph(m: Machine) -> ConfigGraph:
             raise GraphError(f"two root locations for region {frame.r}")
         roots.add(root)
         _add_objects(where, frame.temps, Temp, frame.r)
-    for heap in (m.h_op, m.h_cl, m.h_fr):
-        for r, store in heap.items():
-            _add_objects(where, store, Heap, r)
+    for r, region in m.regions.items():
+        _add_objects(where, region.store, Heap, r)
     refs: set[Ref] = set()
     for frame in m.frames:
         refs.update(_frame_refs(frame, where))
-    for heap in (m.h_op, m.h_cl, m.h_fr):
-        for r, store in heap.items():
-            refs.update(_store_refs(r, store, where))
+    for r, region in m.regions.items():
+        refs.update(_store_refs(r, region.store, where))
     return ConfigGraph(roots | set(where.values()), refs)
 
 
@@ -222,7 +218,7 @@ def capability_ok(rho: RegionOrder, cl: set[int], fr: set[int],
             violations.append(_violation(
                 "var_unique", "var target has in-degree > 1",
                 sorted((r for r in g.refs if r.dst == loc), key=_ref_key),
-                [loc_region(loc)]))
+                [loc.r]))
     if violations:
         violations.sort(key=_violation_key)
     return not violations, violations
@@ -312,13 +308,13 @@ def topology_pair_ok(rho: RegionOrder, fr: set[int], ref1: Ref,
     """The pairwise disjunction (clauses 1-5)."""
     if ref1 == ref2:                                   # (1)
         return True
-    r1d, r2d = loc_region(ref1.dst), loc_region(ref2.dst)
+    r1d, r2d = ref1.dst.r, ref2.dst.r
     if r1d != r2d:                                     # (2)/(3) different dst
         return True
     if r1d in fr or r2d in fr:                         # (4)
         return True
-    return (rho.leq(r1d, loc_region(ref1.src))         # (5) downward/intra
-            or rho.leq(r2d, loc_region(ref2.src)))
+    return (rho.leq(r1d, ref1.src.r)                   # (5) downward/intra
+            or rho.leq(r2d, ref2.src.r))
 
 
 def _external_groups(rho: RegionOrder, fr, refs) -> dict[int, list[Ref]]:
@@ -415,16 +411,15 @@ class ContextStack:
 
 def _tag_matches(obj_tag: str, t: Type, cap: Cap) -> bool:
     """Tag-subtyping: some leaf of t has the value's capability and a head
-    matching the dynamic tag (#C <#: C, #Cell <#: Cell[_])."""
+    matching the dynamic tag."""
     for leaf in leaves(t):
-        if leaf.cap is not cap:
-            continue
-        if isinstance(leaf.head, CellHead):
-            if obj_tag == "Cell":
-                return True
-        elif leaf.head.name == obj_tag:
+        if leaf.cap is cap and tag_matches(obj_tag, leaf.head):
             return True
     return False
+
+
+def _ids_in(status: dict[int, str], state: str) -> set[int]:
+    return {r for r, s in status.items() if s == state}
 
 
 def check_config_wf(gammas: Optional[ContextStack], m: Machine,
@@ -446,14 +441,12 @@ def check_config_wf(gammas: Optional[ContextStack], m: Machine,
     violations: list[dict] = []
     # Structural checks.
     stack_ids = m.region_stack_ids()
-    if sorted(stack_ids) != sorted(m.h_op.keys()):
+    status = {r: region.state for r, region in m.regions.items()}
+    open_ids = _ids_in(status, OPEN)
+    if sorted(stack_ids) != sorted(open_ids):
         violations.append(_violation(
             "wf-rcfg", "region stack ids differ from open heap ids", [],
-            stack_ids + list(m.h_op)))
-    all_ids = list(m.h_op) + list(m.h_cl) + list(m.h_fr)
-    if len(all_ids) != len(set(all_ids)):
-        violations.append(_violation(
-            "wf-rcfg", "heaps share a region id", [], all_ids))
+            stack_ids + list(open_ids)))
     for kind, r, iota, obj in m.all_objects():
         if kind != "temp":
             for f, v in obj.fields.items():
@@ -477,7 +470,7 @@ def check_config_wf(gammas: Optional[ContextStack], m: Machine,
         violations.append(_violation("build_graph", str(exc), [], []))
         return {"verdict": False, "violations": violations}
     rho = region_order_of(m)
-    cl, fr = set(m.h_cl), set(m.h_fr)
+    cl, fr = _ids_in(status, CLOSED), _ids_in(status, FROZEN)
     ok1, v1 = capability_ok(rho, cl, fr, g)
     ok2, v2 = topology_ok(rho, fr, g, frame_entries(m))
     violations.extend(v1)
@@ -521,9 +514,9 @@ class Fragments:
     that passed, so every ref they hold passed every per-ref clause.  A
     check extracts and checks again only the fragments the step touched:
     the top frame before and after, any frame pushed or popped, the store
-    of every region that changed heap (and so joined or left the stack),
-    and the fragment of the object the effect writes or moves objects
-    into.  Fragments with refs into a region that changed heap are
+    of every region that changed state (and so joined or left the stack)
+    or left the table, and the fragment of the object the effect writes or
+    moves objects into.  Fragments with refs into such a region are
     checked again too.  The runner sets ``effect`` to the step's
     effect before each check."""
 
@@ -536,7 +529,7 @@ class Fragments:
         self.frags: dict[tuple[str, int], _Fragment] = {}
         self.where: dict[int, Loc] = {}
         self.objects: dict[int, Object] = {}
-        self.status: dict[int, int] = {}  # region -> index of its heap
+        self.status: dict[int, str] = {}  # region -> its state
         self.frames: list[Frame] = []
         self.gammas: list[Gamma] = []
 
@@ -544,15 +537,13 @@ class Fragments:
         """True if the configuration is well formed; False if the spec
         must decide.  A False leaves the summaries inconsistent, to be
         reset."""
-        frames, heaps = m.frames, (m.h_op, m.h_cl, m.h_fr)
+        frames, regions = m.frames, m.regions
         if gammas is None or len(gammas.frames) != len(frames):
             return False
         stack = [f.r for f in frames]
-        if sorted(stack) != sorted(m.h_op):
+        status = {r: region.state for r, region in regions.items()}
+        if sorted(stack) != sorted(_ids_in(status, OPEN)):
             return False  # also rules out two roots for one region
-        status = {r: i for i, heap in enumerate(heaps) for r in heap}
-        if len(status) != sum(map(len, heaps)):
-            return False
         old = self.status
         changed = set()
         if status != old:
@@ -567,7 +558,7 @@ class Fragments:
             kind, r = key
             if kind == "frame":
                 return frame_of[r].temps if r in frame_of else None
-            return heaps[status[r]][r] if r in status else None
+            return regions[r].store if r in regions else None
 
         # Take the touched fragments' objects out of the index and put
         # them back where they are now.
@@ -584,21 +575,21 @@ class Fragments:
                              Temp if key[0] == "frame" else Heap, key[1])
                 objects.update(store)
                 recheck[key] = frozenset(store)
-        # Objects leave a fragment only with a region that changes heap:
-        # refs into such a region are checked again.
+        # Objects leave a fragment only with a region that changes state
+        # or leaves the table: refs into such a region are checked again.
         if changed:
             for key, frag in frags.items():
                 if frag.into & changed:
                     recheck[key] = frag.objs
         rho = RegionOrder(stack[::-1])
-        cl, fr = m.h_cl, m.h_fr
+        cl, fr = _ids_in(status, CLOSED), _ids_in(status, FROZEN)
         violations: list[dict] = []
         for key, objs in recheck.items():
             kind, r = key
             if kind == "frame":
                 refs = _frame_refs(frame_of[r], where)
             else:
-                refs = _store_refs(r, heaps[status[r]][r], where)
+                refs = _store_refs(r, regions[r].store, where)
             for ref in refs:
                 _ref_violations(rho, cl, fr, ref, violations)
             if violations:
@@ -680,12 +671,11 @@ class Fragments:
 def _objects_by_id(m: Machine) -> dict[int, Object]:
     """Every object of the configuration by id.  Where an id repeats, the
     object is the one m.cfg_load finds first: the temps of the topmost
-    frame holding it, else the first store of the open, closed and frozen
-    heaps, in that order.  Later updates win, so sources go in reverse."""
+    frame holding it, else the first store of the region table.  Later
+    updates win, so sources go in reverse."""
     objects: dict[int, Object] = {}
-    for heap in (m.h_fr, m.h_cl, m.h_op):
-        for store in reversed(heap.values()):
-            objects.update(store)
+    for region in reversed(m.regions.values()):
+        objects.update(region.store)
     for frame in m.frames:
         objects.update(frame.temps)
     return objects
@@ -735,7 +725,7 @@ def check_effect_wf(gammas: ContextStack, eff: Effect,
     The result shares every context but the top one with gammas, which is
     left unchanged."""
     out = gammas.copy_top()
-    checker = Checker(classes, _EMPTY_FUNCS)
+    checker = Checker(classes, FunctionTable())
     gamma = checker._owned = out.top
     if isinstance(eff, Eps):
         return out
@@ -758,7 +748,7 @@ def check_effect_wf(gammas: ContextStack, eff: Effect,
     if isinstance(eff, Swap):
         return _wf_swap(checker, out, gamma, eff, classes)
     if isinstance(eff, Halloc):
-        ftypes = classes.ftypes(_cls(eff.cls))
+        ftypes = classes.ftypes(ClassName(eff.cls))
         ts = []
         for u in eff.uses:
             t = _consume(checker, gamma, u)
@@ -770,7 +760,7 @@ def check_effect_wf(gammas: ContextStack, eff: Effect,
                 return None
             if eff.cap is Cap.ISO and not cap_in({Cap.ISO, Cap.IMM}, t):
                 return None
-        gamma[eff.x] = CapType(eff.cap, _cls(eff.cls))
+        gamma[eff.x] = CapType(eff.cap, ClassName(eff.cls))
         return out
     if isinstance(eff, Salloc):
         if eff.cap not in (Cap.TMP, Cap.VAR):
@@ -783,12 +773,12 @@ def check_effect_wf(gammas: ContextStack, eff: Effect,
                 return None
             gamma[eff.x] = CapType(eff.cap, CellHead(t))
             return out
-        ftypes = classes.ftypes(_cls(eff.cls))
+        ftypes = classes.ftypes(ClassName(eff.cls))
         for (fname, ftype), u in zip(ftypes, eff.uses):
             t = _consume(checker, gamma, u)
             if t is None or not subtype(t, ftype):
                 return None
-        gamma[eff.x] = CapType(eff.cap, _cls(eff.cls))
+        gamma[eff.x] = CapType(eff.cap, ClassName(eff.cls))
         return out
     if isinstance(eff, EnterEff):
         return _wf_enter(checker, out, gamma, eff, classes)
@@ -845,7 +835,6 @@ def _wf_swap(checker: Checker, out: ContextStack, gamma: Gamma, eff: Swap,
         ftype = classes.ftype(leaf.head, eff.f)
         if ftype is None or not subtype(t_u, ftype):
             return None
-        from .model import UnionType
         old = ftype if old is None else UnionType(old, ftype)
     gamma[eff.x] = old
     return out
@@ -864,7 +853,6 @@ def _wf_enter(checker: Checker, out: ContextStack, gamma: Gamma,
         if cap_in({Cap.ISO}, t):
             new_gamma[z] = t
         else:
-            from .model import vpa_type
             adapted = vpa_type(Cap.PAUSED, t)
             if adapted is None:
                 return None
@@ -916,19 +904,3 @@ def _wf_exit(checker: Checker, out: ContextStack, eff: ExitEff,
         gamma[eff.y] = make_cell(make_iso(t_new))
     gamma[eff.x] = t_ret
     return out
-
-
-def _cls(name: str):
-    from .model import ClassName
-    return ClassName(name)
-
-
-class _NoFuncs:
-    def __contains__(self, name: str) -> bool:
-        return False
-
-    def lookup(self, name: str):  # pragma: no cover
-        raise KeyError(name)
-
-
-_EMPTY_FUNCS = _NoFuncs()

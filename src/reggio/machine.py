@@ -1,9 +1,12 @@
 """Region-language dynamic semantics.
 
-A configuration is a region stack (frames, top = last), an open heap, a
-closed heap, and a frozen heap; each heap maps region-id -> store, and a
-store maps object-id -> Object.  The machine consumes effects emitted by
-the command machine and mutates the configuration in place.
+A configuration is a region stack (frames, top = last) and a region table
+mapping region-id -> Region, whose state is open (on the stack), closed
+(isolated behind one iso) or frozen (deeply immutable), and whose store
+maps object-id -> Object.  Enter, exit and freeze change a region's state
+in place; merge moves a closed region's store into the active region.  The
+machine consumes effects emitted by the command machine and mutates the
+configuration in place.
 
 ``bugs`` is a set of named, deliberately planted faults used to validate
 the invariant checker by mutation testing; the shipped default is empty.
@@ -13,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-from .model import Cap, ClassTable, ClassName, vpa
+from .model import Cap, ClassTable, ClassName, leaves, tag_matches, vpa
 from .syntax import Use
 
 Value = tuple[Cap, int]
@@ -44,6 +47,15 @@ class Object:
 
 
 Store = dict[int, Object]
+
+OPEN, CLOSED, FROZEN = "open", "closed", "frozen"
+STATES = (OPEN, CLOSED, FROZEN)
+
+
+@dataclass(slots=True)
+class Region:
+    state: str  # OPEN, CLOSED or FROZEN
+    store: Store
 
 
 @dataclass
@@ -172,10 +184,7 @@ def effect_args(eff: Effect) -> list[str]:
         return [eff.x, f"{eff.y}.{eff.f}"]
     if isinstance(eff, Swap):
         return [eff.x, f"{eff.y}.{eff.f}", str(eff.use)]
-    if isinstance(eff, Halloc):
-        return [eff.x, str(eff.cap), f"#{eff.cls}",
-                *(str(u) for u in eff.uses)]
-    if isinstance(eff, Salloc):
+    if isinstance(eff, (Halloc, Salloc)):
         return [eff.x, str(eff.cap), f"#{eff.cls}",
                 *(str(u) for u in eff.uses)]
     if isinstance(eff, EnterEff):
@@ -210,9 +219,7 @@ class Machine:
         self._next_iota = 0
         self._next_region = 1
         self.frames: list[Frame] = [Frame(r=0)]
-        self.h_op: dict[int, Store] = {0: {}}
-        self.h_cl: dict[int, Store] = {}
-        self.h_fr: dict[int, Store] = {}
+        self.regions: dict[int, Region] = {0: Region(OPEN, {})}
 
     # -- helpers ---------------------------------------------------------------
 
@@ -256,24 +263,23 @@ class Machine:
         return None
 
     def heap_load(self, iota: int,
-                  heaps: tuple[dict[int, Store], ...]) -> Optional[Object]:
-        for heap in heaps:
-            for store in heap.values():
-                if iota in store:
-                    return store[iota]
+                  states: tuple[str, ...]) -> Optional[Object]:
+        """The object iota in a region whose state is one of states."""
+        for region in self.regions.values():
+            if region.state in states and iota in region.store:
+                return region.store[iota]
         return None
 
     def cfg_load(self, iota: int,
-                 heaps: tuple[dict[int, Store], ...]) -> Optional[Object]:
+                 states: tuple[str, ...]) -> Optional[Object]:
         obj = self.stack_load(iota)
         if obj is not None:
             return obj
-        return self.heap_load(iota, heaps)
+        return self.heap_load(iota, states)
 
-    def region_of(self, iota: int,
-                  heap: dict[int, Store]) -> Optional[int]:
-        for r, store in heap.items():
-            if iota in store:
+    def closed_region_of(self, iota: int) -> Optional[int]:
+        for r, region in self.regions.items():
+            if region.state == CLOSED and iota in region.store:
                 return r
         return None
 
@@ -288,7 +294,7 @@ class Machine:
     def bridge_target(self, y: str, f: str) -> int:
         """The object-id stored at y.f (entry lval of an enter)."""
         _, iota_y = self.peek(y)
-        obj = self.cfg_load(iota_y, (self.h_op,))
+        obj = self.cfg_load(iota_y, (OPEN,))
         if obj is None or f not in obj.fields:
             raise Stuck(f"enter: cannot resolve {y}.{f}")
         v = obj.fields[f]
@@ -299,24 +305,17 @@ class Machine:
     def enter_enabled(self, y: str, f: str) -> bool:
         """True iff the region holding the bridge y.f is currently closed."""
         iota = self.bridge_target(y, f)
-        return self.region_of(iota, self.h_cl) is not None
+        return self.closed_region_of(iota) is not None
 
     def cast_matches(self, name: str, ty) -> bool:
         """True iff the dynamic tag of the value bound to name subtags ty."""
-        from .model import CapType, CellHead, leaves
         v = self.top.vars.get(name)
         if v is V_UNDEF or v is None:
             raise Stuck(f"cast: variable {name} is not bound")
-        obj = self.cfg_load(v[1], (self.h_op, self.h_cl, self.h_fr))
+        obj = self.cfg_load(v[1], STATES)
         if obj is None:
             raise Stuck(f"cast: dangling object id {v[1]}")
-        for leaf in leaves(ty):
-            if isinstance(leaf.head, CellHead):
-                if obj.tag == "Cell":
-                    return True
-            elif obj.tag == leaf.head.name:
-                return True
-        return False
+        return any(tag_matches(obj.tag, leaf.head) for leaf in leaves(ty))
 
     # -- stepping -----------------------------------------------------------------
 
@@ -334,7 +333,7 @@ class Machine:
     def _step_load(self, eff: Load) -> None:
         top = self.top
         k_y, iota_y = self.peek(eff.y)
-        obj = self.cfg_load(iota_y, (self.h_op, self.h_fr))
+        obj = self.cfg_load(iota_y, (OPEN, FROZEN))
         if obj is None:
             raise Stuck(f"load: dangling object id {iota_y}")
         if eff.f not in obj.fields:
@@ -351,7 +350,7 @@ class Machine:
         _, iota_y = self.peek(eff.y)
         obj = top.temps.get(iota_y)
         if obj is None:
-            obj = self.heap_load(iota_y, (self.h_op,))
+            obj = self.heap_load(iota_y, (OPEN,))
         if obj is None:
             raise Stuck(f"swap: {eff.y} does not refer to a writable object")
         if eff.f not in obj.fields:
@@ -366,11 +365,11 @@ class Machine:
         iota = self.fresh_iota()
         obj = Object(eff.cls, self._fields_for(eff.cls, vals))
         if eff.cap is Cap.MUT:
-            self.h_op[top.r][iota] = obj
+            self.regions[top.r].store[iota] = obj
             top.vars[eff.x] = (Cap.MUT, iota)
         elif eff.cap is Cap.ISO:
             r = self.fresh_region()
-            self.h_cl[r] = {iota: obj}
+            self.regions[r] = Region(CLOSED, {iota: obj})
             top.vars[eff.x] = (Cap.ISO, iota)
         else:
             raise Stuck(f"halloc: bad capability {eff.cap}")
@@ -409,15 +408,15 @@ class Machine:
                     raise Stuck(f"enter: capture {z} has capability {k}")
             new_vars[z] = (k2, iota)
         _, iota_y = self.peek(eff.y)
-        obj_y = self.cfg_load(iota_y, (self.h_op,))
+        obj_y = self.cfg_load(iota_y, (OPEN,))
         if obj_y is None or eff.f not in obj_y.fields:
             raise Stuck(f"enter: cannot resolve {eff.y}.{eff.f}")
         _, bridge = obj_y.fields[eff.f]
-        r = self.region_of(bridge, self.h_cl)
+        r = self.closed_region_of(bridge)
         if r is None:
             raise Stuck("enter: target region is not closed "
                         "(badenter should have been selected)")
-        self.h_op[r] = self.h_cl.pop(r)
+        self.regions[r].state = OPEN
         iota_cell = self.fresh_iota()
         cell = Object("Cell", {"val": (Cap.MUT, bridge)})
         new_vars[eff.w] = (eff.cap, iota_cell)
@@ -427,7 +426,7 @@ class Machine:
 
     def _step_badenter(self, eff: BadEnter) -> None:
         iota = self.bridge_target(eff.y, eff.f)
-        if self.region_of(iota, self.h_cl) is not None:
+        if self.closed_region_of(iota) is not None:
             raise Stuck("badenter: target region is closed "
                         "(enter should have been selected)")
 
@@ -445,16 +444,14 @@ class Machine:
         _, new_bridge = cell.fields[eff.g]
         top = self.top
         _, iota_y = self.peek(eff.y)
-        obj_y = self.stack_load(iota_y)
-        if obj_y is None:
-            obj_y = self.heap_load(iota_y, (self.h_op,))
+        obj_y = self.cfg_load(iota_y, (OPEN,))
         if obj_y is None or eff.f not in obj_y.fields:
             raise Stuck(f"exit: cannot resolve {eff.y}.{eff.f}")
         k_f, _ = obj_y.fields[eff.f]
         if "exit-mut-writeback" in self.bugs:
             k_f = Cap.MUT
         obj_y.fields[eff.f] = (k_f, new_bridge)
-        self.h_cl[popped.r] = self.h_op.pop(popped.r)
+        self.regions[popped.r].state = CLOSED
         if "exit-keep-temps" in self.bugs:
             top.temps.update(popped.temps)
         if "reinstate-iso" in self.bugs:
@@ -468,14 +465,14 @@ class Machine:
         work = [r]
         while work:
             cur = work.pop()
-            store = self.h_cl.get(cur)
-            if store is None:
+            region = self.regions.get(cur)
+            if region is None or region.state != CLOSED:
                 continue
-            for obj in store.values():
+            for obj in region.store.values():
                 for v in obj.fields.values():
                     if v is V_UNDEF:
                         continue
-                    r2 = self.region_of(v[1], self.h_cl)
+                    r2 = self.closed_region_of(v[1])
                     if r2 is not None and r2 != cur and r2 not in seen:
                         seen.add(r2)
                         work.append(r2)
@@ -486,14 +483,14 @@ class Machine:
         k, iota = self.get(top.vars, eff.use)
         if k is not Cap.ISO:
             raise Stuck(f"freeze: expected an iso value, got {k}")
-        r = self.region_of(iota, self.h_cl)
+        r = self.closed_region_of(iota)
         if r is None:
             raise Stuck("freeze: target region is not closed")
         regions = {r}
         if "shallow-freeze" not in self.bugs:
             regions |= self.reachable_regions(r)
         for rid in regions:
-            self.h_fr[rid] = self.h_cl.pop(rid)
+            self.regions[rid].state = FROZEN
         top.vars[eff.x] = (Cap.IMM, iota)
 
     def _step_merge(self, eff: MergeEff) -> None:
@@ -501,21 +498,16 @@ class Machine:
         k, iota = self.get(top.vars, eff.use)
         if k is not Cap.ISO:
             raise Stuck(f"merge: expected an iso value, got {k}")
-        r = self.region_of(iota, self.h_cl)
+        r = self.closed_region_of(iota)
         if r is None:
             raise Stuck("merge: target region is not closed")
-        self.h_op[top.r].update(self.h_cl.pop(r))
+        self.regions[top.r].store.update(self.regions.pop(r).store)
         top.vars[eff.x] = (Cap.MUT, iota)
 
-    def _step_cast(self, eff: CastEff) -> None:
+    def _step_cast(self, eff: CastEff | NoCastEff) -> None:
+        """Either outcome of a type test rebinds the value unchanged."""
         top = self.top
-        v = self.get(top.vars, eff.use)
-        top.vars[eff.x] = v
-
-    def _step_nocast(self, eff: NoCastEff) -> None:
-        top = self.top
-        v = self.get(top.vars, eff.use)
-        top.vars[eff.x] = v
+        top.vars[eff.x] = self.get(top.vars, eff.use)
 
     # -- reporting ---------------------------------------------------------------
 
@@ -527,13 +519,12 @@ class Machine:
         for frame in self.frames:
             for iota, obj in frame.temps.items():
                 yield "temp", frame.r, iota, obj
-        for kind, heap in (("open", self.h_op), ("closed", self.h_cl),
-                           ("frozen", self.h_fr)):
-            for r, store in heap.items():
-                for iota, obj in store.items():
-                    yield kind, r, iota, obj
+        for r, region in self.regions.items():
+            for iota, obj in region.store.items():
+                yield region.state, r, iota, obj
 
 
 # Effect type -> the Machine method that steps it.
 _HANDLERS = {kind: getattr(Machine, "_step_" + name)
-             for kind, name in EFFECT_NAMES.items()}
+             for kind, name in EFFECT_NAMES.items() if kind is not NoCastEff}
+_HANDLERS[NoCastEff] = Machine._step_cast

@@ -59,6 +59,13 @@ class CellHead:
 ClassHead = ClassName | CellHead
 
 
+def tag_matches(tag: str, head: ClassHead) -> bool:
+    """Tag subtyping on one head: #C <#: C and #Cell <#: Cell[_]."""
+    if isinstance(head, CellHead):
+        return tag == "Cell"
+    return head.name == tag
+
+
 @dataclass(frozen=True)
 class CapType:
     """A leaf type k CL."""

@@ -7,7 +7,7 @@ from reggio.command import TandemRunner, Verdict
 from reggio.fuzz import GenConfig, campaign
 from reggio.invariants import (Heap, Ref, RegionOrder, Root, Temp,
                                capability_ok, topology_ok, ConfigGraph)
-from reggio.machine import KNOWN_BUGS
+from reggio.machine import CLOSED, FROZEN, KNOWN_BUGS, Machine
 from reggio.model import ALL_CAPS as CAPS, Cap, vpa
 from reggio.syntax import parse_program
 from reggio.typecheck import TypeCheckError, check_program
@@ -29,6 +29,11 @@ class _Clock:
     def __exit__(self, *exc):
         self.elapsed = time.monotonic() - self.t0
         return False
+
+
+def _stores(m: Machine, state: str) -> list:
+    return [region.store for region in m.regions.values()
+            if region.state == state]
 
 
 # -- 1: the viewpoint-adaptation table, all 36 pairs plus the var row ------------
@@ -54,8 +59,7 @@ def test_acceptance_2_cyclic_list():
         res = runner.run()
         assert res.verdict is Verdict.DONE
         m = runner.machine
-        assert len(m.h_cl) == 1
-        (store,) = m.h_cl.values()
+        (store,) = _stores(m, CLOSED)
         assert len(store) == 3
         assert all(obj.tag == "Link" for obj in store.values())
         # the next fields form a single 3-cycle inside the region
@@ -66,7 +70,7 @@ def test_acceptance_2_cyclic_list():
             cap, cur = store[cur].fields["next"]
             assert cap is Cap.MUT and cur in store
         assert cur == start and sorted(seen) == sorted(store)
-        assert len(m.h_fr) == 2
+        assert len(_stores(m, FROZEN)) == 2
     assert c.elapsed < 1.0
 
 
@@ -112,16 +116,16 @@ def test_acceptance_5_freeze_and_merge():
         check_program(prog)
         runner = TandemRunner(prog, check="each-step")
         assert runner.run().verdict is Verdict.DONE
-        assert len(runner.machine.h_fr) == 3
-        assert len(runner.machine.h_cl) == 0
+        assert len(_stores(runner.machine, FROZEN)) == 3
+        assert not _stores(runner.machine, CLOSED)
 
         prog = parse_program((CORPUS / "merge_nested.rgo").read_text())
         check_program(prog)
         runner = TandemRunner(prog, check="each-step")
         assert runner.run().verdict is Verdict.DONE
         m = runner.machine
-        assert len(m.h_cl) == 1  # the nested region stayed closed, intact
-        (store,) = m.h_cl.values()
+        # the nested region stayed closed, intact
+        (store,) = _stores(m, CLOSED)
         assert len(store) == 1
     assert c.elapsed < 1.0
 

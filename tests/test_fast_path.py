@@ -13,9 +13,9 @@ from reggio.command import TandemRunner, Verdict, desugar_program
 from reggio.fuzz import GenConfig, generate
 from reggio.invariants import (ContextStack, Fragments, GraphError,
                                check_config_wf)
-from reggio.machine import (EFFECT_NAMES, KNOWN_BUGS, V_UNDEF, Bind,
-                            EnterEff, Eps, FreezeEff, Halloc, Machine,
-                            Salloc, Swap)
+from reggio.machine import (CLOSED, EFFECT_NAMES, FROZEN, KNOWN_BUGS,
+                            V_UNDEF, Bind, EnterEff, Eps, FreezeEff, Halloc,
+                            Machine, Salloc, Swap)
 from reggio.model import Cap, ClassTable
 from reggio.syntax import Use, parse_program, parse_type
 
@@ -105,7 +105,7 @@ def test_write_to_untouched_store_is_rechecked():
 
 
 def test_region_change_rechecks_refs_into_it():
-    """A region that changes heap is re-checked from the fragments that
+    """A region that changes state is re-checked from the fragments that
     refer into it, though the step touches none of them."""
     m, state = Machine(_classes()), Lockstep()
     for eff in (Halloc("c", Cap.ISO, "C", ()),
@@ -114,8 +114,8 @@ def test_region_change_rechecks_refs_into_it():
         assert _check(m, state, eff)["verdict"]
     # Freeze c's region behind h's back: h.h is an iso ref from the open
     # region 0 into a frozen region.
-    (r,) = m.h_cl
-    m.h_fr[r] = m.h_cl.pop(r)
+    (r,) = [r for r, region in m.regions.items() if region.state == CLOSED]
+    m.regions[r].state = FROZEN
     report = _check(m, state, Eps())
     assert not report["verdict"]
     assert report == check_config_wf(ContextStack(), m)

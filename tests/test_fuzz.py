@@ -3,7 +3,7 @@ import pytest
 
 from reggio.command import TandemRunner, Verdict
 from reggio.fuzz import (CampaignResult, GenConfig, _unused_sites,
-                         _used_decls, campaign, generate, shrink,
+                         _rebuild, _used_decls, campaign, generate, shrink,
                          soundness_run)
 from reggio.syntax import (Assign, Call, Deref, Enter, Freeze, Let, LVal,
                            Merge, New, TypeTest, Use, VarAlloc, parse_program,
@@ -174,6 +174,18 @@ def test_used_decls_follow_every_leaf_of_a_union():
     prog = parse_program("class A { f: iso Cell[mut A] | imm B }\n"
                          "class B { }\nlet a = new mut A() in a")
     assert _used_decls(prog) == (["A", "B"], [])
+
+
+def test_used_decls_follow_a_callee_declared_earlier():
+    # g, the only user of A, is declared before its caller f.
+    prog = parse_program(
+        "class A { } class B { } "
+        "fn g(): mut A { let a = new mut A() in a } "
+        "fn f(): mut B { let x = g() in let b = new mut B() in b } "
+        "let c = f() in c")
+    check_program(prog)
+    assert _used_decls(prog) == (["A", "B"], ["g", "f"])
+    check_program(_rebuild(prog, prog.main))
 
 
 def _triggers_exit_keep_temps(p) -> bool:

@@ -9,8 +9,8 @@ from reggio.invariants import (ConfigGraph, ContextStack, GraphError, Heap,
                                check_effect_wf, frame_entries,
                                region_order_of, topology_ok,
                                topology_pair_ok)
-from reggio.machine import (Bind, Frame, Halloc, Load, Machine, Object,
-                            V_UNDEF)
+from reggio.machine import (CLOSED, Bind, Frame, Halloc, Load, Machine,
+                            Object, Region, V_UNDEF)
 from reggio.model import Cap, ClassTable
 from reggio.syntax import Use, parse_program, parse_type
 from reggio.typecheck import check_program
@@ -30,7 +30,7 @@ def test_build_graph_of_simple_machine():
     m.step_effect(Halloc("x", Cap.MUT, "C", ()))
     g = build_graph(m)
     assert Root(0) in g.locs
-    (iota,) = m.h_op[0]
+    (iota,) = m.regions[0].store
     assert Heap(0, iota) in g.locs
     assert Ref(Root(0), "x", Cap.MUT, Heap(0, iota)) in g.refs
 
@@ -45,8 +45,8 @@ def test_build_graph_buried_vars_contribute_nothing():
 
 def test_build_graph_rejects_duplicate_object_id():
     m = Machine(_classes())
-    m.h_op[0][7] = Object("C", {})
-    m.h_cl[1] = {7: Object("C", {})}
+    m.regions[0].store[7] = Object("C", {})
+    m.regions[1] = Region(CLOSED, {7: Object("C", {})})
     with pytest.raises(GraphError):
         build_graph(m)
 
@@ -67,7 +67,7 @@ def test_build_graph_rejects_duplicate_root():
 
 def test_build_graph_rejects_undefined_heap_field():
     m = Machine(_classes())
-    m.h_op[0][1] = Object("H", {"h": V_UNDEF})
+    m.regions[0].store[1] = Object("H", {"h": V_UNDEF})
     with pytest.raises(GraphError):
         build_graph(m)
 

@@ -1,9 +1,10 @@
-"""Region machine: heaps, frames, effect stepping, planted bugs."""
+"""Region machine: region table, frames, effect stepping, planted bugs."""
 import pytest
 
-from reggio.machine import (Bind, EnterEff, ExitEff, FreezeEff, Halloc,
-                            KNOWN_BUGS, Load, Machine, MergeEff, Salloc,
-                            Stuck, Swap, V_UNDEF, effect_args, effect_name)
+from reggio.machine import (CLOSED, FROZEN, OPEN, Bind, EnterEff, ExitEff,
+                            FreezeEff, Halloc, KNOWN_BUGS, Load, Machine,
+                            MergeEff, Salloc, Stuck, Swap, V_UNDEF,
+                            effect_args, effect_name)
 from reggio.model import Cap, ClassTable
 from reggio.syntax import Use, parse_type
 
@@ -21,21 +22,24 @@ def _machine(bugs=frozenset()) -> Machine:
     return Machine(_classes(), bugs)
 
 
+def _in_state(m: Machine, state: str) -> list[int]:
+    return [r for r, region in m.regions.items() if region.state == state]
+
+
 def test_halloc_mut_allocates_in_active_region():
     m = _machine()
     m.step_effect(Halloc("x", Cap.MUT, "C", ()))
-    (iota,) = m.h_op[0]
+    (iota,) = m.regions[0].store
     assert m.top.vars["x"] == (Cap.MUT, iota)
-    assert m.h_op[0][iota].tag == "C"
+    assert m.regions[0].store[iota].tag == "C"
 
 
 def test_halloc_iso_creates_fresh_closed_region():
     m = _machine()
     m.step_effect(Halloc("x", Cap.ISO, "C", ()))
-    assert len(m.h_cl) == 1
-    (r,) = m.h_cl
+    (r,) = _in_state(m, CLOSED)
     cap, iota = m.top.vars["x"]
-    assert cap is Cap.ISO and iota in m.h_cl[r]
+    assert cap is Cap.ISO and iota in m.regions[r].store
 
 
 def test_salloc_tmp_and_var_live_in_frame_temps():
@@ -69,18 +73,18 @@ def test_swap_returns_old_value():
     old = m.top.vars["old"]
     assert old[0] is Cap.ISO
     _, h_iota = m.top.vars["h"]
-    new_field = m.h_op[0][h_iota].fields["h"]
+    new_field = m.regions[0].store[h_iota].fields["h"]
     assert new_field != old
 
 
 def test_enter_and_exit_move_region_between_heaps():
     m = _machine()
     m.step_effect(Halloc("c", Cap.ISO, "C", ()))
-    (r,) = m.h_cl
+    (r,) = _in_state(m, CLOSED)
     m.step_effect(Halloc("h", Cap.MUT, "H", (Use("c", True),)))
     assert m.enter_enabled("h", "h")
     m.step_effect(EnterEff("z", Cap.TMP, "h", "h", ()))
-    assert r in m.h_op and r not in m.h_cl
+    assert m.regions[r].state == OPEN
     assert m.top.r == r
     assert m.top.entry is not None
     with pytest.raises(Stuck):
@@ -90,12 +94,12 @@ def test_enter_and_exit_move_region_between_heaps():
     assert m.top.temps[cell_iota].fields["val"][0] is Cap.MUT
     m.step_effect(Halloc("d", Cap.ISO, "C", ()))
     m.step_effect(ExitEff("ret", Use("d", True), "h", "h", "z", "val"))
-    assert r in m.h_cl and r not in m.h_op
+    assert m.regions[r].state == CLOSED
     assert len(m.frames) == 1
     assert m.top.vars["ret"][0] is Cap.ISO
     # writeback preserved the old field capability (iso)
     _, h_iota = m.top.vars["h"]
-    assert m.h_op[0][h_iota].fields["h"][0] is Cap.ISO
+    assert m.regions[0].store[h_iota].fields["h"][0] is Cap.ISO
 
 
 def test_exit_discards_temps():
@@ -114,22 +118,26 @@ def test_freeze_moves_reachable_regions():
     m.step_effect(Halloc("c", Cap.ISO, "C", ()))
     m.step_effect(Halloc("h", Cap.ISO, "H", (Use("c", True),)))
     m.step_effect(Halloc("k", Cap.ISO, "K", (Use("h", True),)))
-    assert len(m.h_cl) == 3
+    assert len(_in_state(m, CLOSED)) == 3
     m.step_effect(FreezeEff("i", Use("k", True)))
-    assert len(m.h_fr) == 3 and len(m.h_cl) == 0
+    assert len(_in_state(m, FROZEN)) == 3 and not _in_state(m, CLOSED)
     assert m.top.vars["i"][0] is Cap.IMM
 
 
 def test_merge_keeps_nested_region_closed():
     m = _machine()
     m.step_effect(Halloc("c", Cap.ISO, "C", ()))
+    _, c_iota = m.top.vars["c"]
     m.step_effect(Halloc("h", Cap.ISO, "H", (Use("c", True),)))
-    nested = m.region_of(m.top.vars["c"][1] if False else
-                         next(iter(m.h_cl[next(iter(m.h_cl))])), m.h_cl)
     m.step_effect(MergeEff("x", Use("h", True)))
-    assert len(m.h_cl) == 1  # the nested region survives intact
+    # The nested region, which holds c's object, survives intact; h's
+    # region left the table.
+    (nested,) = _in_state(m, CLOSED)
+    assert m.closed_region_of(c_iota) == nested
+    assert list(m.regions[nested].store) == [c_iota]
+    assert set(m.regions) == {0, nested}
     assert m.top.vars["x"][0] is Cap.MUT
-    assert len(m.h_op[0]) == 1  # the bridge object moved into region 0
+    assert len(m.regions[0].store) == 1  # the bridge object moved into 0
 
 
 def test_load_reads_fields():
@@ -177,7 +185,7 @@ def test_bug_shallow_freeze():
     m.step_effect(Halloc("c", Cap.ISO, "C", ()))
     m.step_effect(Halloc("h", Cap.ISO, "H", (Use("c", True),)))
     m.step_effect(FreezeEff("i", Use("h", True)))
-    assert len(m.h_fr) == 1 and len(m.h_cl) == 1
+    assert len(_in_state(m, FROZEN)) == 1 and len(_in_state(m, CLOSED)) == 1
 
 
 def test_bug_exit_keep_temps():
