@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import NoReturn
 
 from .command import TandemRunner, Verdict
 from .machine import (CLOSED, FROZEN, KNOWN_BUGS, OPEN, effect_args,
@@ -39,13 +40,17 @@ _VERDICT_CODES = {
 }
 
 
+def _io_error(path: str, exc: OSError) -> NoReturn:
+    print(f"{path}: {exc.strerror or exc}", file=sys.stderr)
+    raise SystemExit(EXIT_IO)
+
+
 def _load(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             src = fh.read()
     except OSError as exc:
-        print(f"{path}: {exc.strerror or exc}", file=sys.stderr)
-        raise SystemExit(EXIT_IO)
+        _io_error(path, exc)
     try:
         return parse_program(src)
     except ParseError as exc:
@@ -135,8 +140,11 @@ def cmd_fuzz(args) -> int:
     print(result.summary())
     if result.counterexample is not None:
         out = args.reproducer
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(result.counterexample)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(result.counterexample)
+        except OSError as exc:
+            _io_error(out, exc)
         print(f"reproducer written to {out}", file=sys.stderr)
         return EXIT_STUCK
     return EXIT_DONE

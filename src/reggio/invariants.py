@@ -13,16 +13,17 @@ serialize directly to JSON.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional
 
 from .model import (Cap, CapType, CellHead, ClassName, ClassTable,
                     FunctionTable, Type, UnionType, cap_in, cap_not_in,
                     fresult, leaves, make_cell, make_imm, make_iso, make_mut,
                     subtype, tag_matches, vpa_type)
-from .machine import (CLOSED, FROZEN, OPEN, BadEnter, Bind, CastEff, Effect,
-                      EnterEff, Eps, ExitEff, Frame, FreezeEff, Halloc, Load,
-                      Machine, MergeEff, NoCastEff, Object, Salloc, Store,
-                      Swap, V_UNDEF)
+from .machine import (CLOSED, FROZEN, OPEN, STATES, BadEnter, Bind, CastEff,
+                      Effect, EnterEff, Eps, ExitEff, Frame, FreezeEff,
+                      Halloc, Load, Machine, MergeEff, NoCastEff, Object,
+                      Salloc, Store, Swap, V_UNDEF)
 from .typecheck import (UNDEF, Checker, Gamma, TypeCheckError,
                         fresult_keep_iso)
 
@@ -487,23 +488,31 @@ def _fragment_of(loc: Loc) -> tuple[str, int]:
 
 
 class _Fragment:
-    """One fragment's objects, refs, and what the refs count towards the
-    predicates that span fragments."""
+    """One fragment's objects and refs, and what the refs count towards
+    the predicates that span fragments:
+    - the regions they point into;
+    - their external refs into each region (topology_ok);
+    - for a frame, its var targets, whether one of them has a second ref
+      from the frame, and the temporaries of other frames it points to
+      (var_unique).  A ref that passes location_ok and leaves a heap object
+      targets a heap object, so only frames count towards var_unique.
+    The refs are indexed by source on first use (entry-point chains)."""
 
-    __slots__ = ("objs", "refs", "temps_in", "var_targets", "external",
-                 "into")
+    __slots__ = ("objs", "refs", "into", "external", "var_targets",
+                 "var_shared", "paused_temps", "out")
 
-    def __init__(self, objs: frozenset[int], refs: list[Ref],
+    def __init__(self, r: int, objs: tuple[int, ...], refs: list[Ref],
                  rho: RegionOrder, fr) -> None:
         self.objs = objs
         self.refs = refs
         indegree, self.var_targets = _in_degrees(refs)
-        # A var ref that passes location_ok targets a temporary.
-        self.temps_in = {loc: n for loc, n in indegree.items()
-                         if type(loc) is Temp}
+        self.into = {loc.r for loc in indegree}
         self.external = {rd: len(group) for rd, group
                          in _external_groups(rho, fr, refs).items()}
-        self.into = {loc.r for loc in indegree}
+        self.var_shared = any(indegree[loc] > 1 for loc in self.var_targets)
+        self.paused_temps = [loc for loc in indegree
+                             if type(loc) is Temp and loc.r != r]
+        self.out: Optional[dict[Loc, list[Ref]]] = None
 
 
 class Fragments:
@@ -516,9 +525,21 @@ class Fragments:
     the top frame before and after, any frame pushed or popped, the store
     of every region that changed state (and so joined or left the stack)
     or left the table, and the fragment of the object the effect writes or
-    moves objects into.  Fragments with refs into such a region are
-    checked again too.  The runner sets ``effect`` to the step's
-    effect before each check."""
+    moves objects into.  Fragments with refs into such a region, found
+    through a region -> fragments index, are checked again too.
+
+    The rest of a check costs what changed, not the size of the
+    configuration:
+    - topology_ok: the external refs into each region are running totals.
+      A re-extracted fragment's old counts are subtracted and its new ones
+      added, and only the regions it counts are tested;
+    - var_unique spans frames only, and is tested over them;
+    - the open, closed and frozen sets and the region order are updated
+      from the regions whose state changed.  Finding them compares each
+      region's state with the last check's, the one pass over the region
+      table left.
+
+    The runner sets ``effect`` to the step's effect before each check."""
 
     def __init__(self) -> None:
         self.effect: Optional[Effect] = None
@@ -530,6 +551,11 @@ class Fragments:
         self.where: dict[int, Loc] = {}
         self.objects: dict[int, Object] = {}
         self.status: dict[int, str] = {}  # region -> its state
+        self.ids: dict[str, set[int]] = {s: set() for s in STATES}
+        self.external: dict[int, int] = {}  # region -> external refs in
+        # region -> the fragments with refs into it
+        self.into: dict[int, set[tuple[str, int]]] = {}
+        self.rho = RegionOrder([])
         self.frames: list[Frame] = []
         self.gammas: list[Gamma] = []
 
@@ -540,16 +566,33 @@ class Fragments:
         frames, regions = m.frames, m.regions
         if gammas is None or len(gammas.frames) != len(frames):
             return False
-        stack = [f.r for f in frames]
+        ids = self.ids
+        changed: set[int] = set()
         status = {r: region.state for r, region in regions.items()}
-        if sorted(stack) != sorted(_ids_in(status, OPEN)):
-            return False  # also rules out two roots for one region
         old = self.status
-        changed = set()
         if status != old:
-            changed = {r for r in status.keys() | old.keys()
-                       if status.get(r) != old.get(r)}
-        touched = self._touched(frames, changed)
+            changed = {r for r, _ in status.items() ^ old.items()}
+            for r in changed:
+                if r in old:
+                    ids[old[r]].discard(r)
+                if r in status:
+                    ids[status[r]].add(r)
+            self.status = status
+        prev = self.frames
+        n = 0  # the frames kept since the last check
+        for a, b in zip(prev, frames):
+            if a is not b:
+                break
+            n += 1
+        moved = frames[n:] or prev[n:]
+        if changed or moved:
+            stack = [f.r for f in frames]
+            open_ids = ids[OPEN]
+            if len(stack) != len(open_ids) or set(stack) != open_ids:
+                return False  # also rules out two roots for one region
+            if moved:
+                self.rho = RegionOrder(stack[::-1])
+        touched = self._touched(frames, n, changed)
         if touched is None:
             return False
         frame_of = {f.r: f for f in frames}
@@ -560,29 +603,34 @@ class Fragments:
                 return frame_of[r].temps if r in frame_of else None
             return regions[r].store if r in regions else None
 
-        # Take the touched fragments' objects out of the index and put
-        # them back where they are now.
+        # Take the touched fragments out of the summaries and index their
+        # objects where they are now.
         frags, where, objects = self.frags, self.where, self.objects
-        for key in touched:
-            if key in frags:
-                for iota in frags.pop(key).objs:
-                    del where[iota], objects[iota]
-        recheck: dict[tuple[str, int], frozenset[int]] = {}
+        stores = {}
         for key in touched:
             store = store_of(key)
+            frag = self._drop(key)
+            if frag is not None:
+                for iota in frag.objs:
+                    del where[iota], objects[iota]
             if store is not None:
-                _add_objects(where, store,
-                             Temp if key[0] == "frame" else Heap, key[1])
-                objects.update(store)
-                recheck[key] = frozenset(store)
+                stores[key] = store
+        recheck: dict[tuple[str, int], tuple[int, ...]] = {}
+        for key, store in stores.items():
+            _add_objects(where, store,
+                         Temp if key[0] == "frame" else Heap, key[1])
+            objects.update(store)
+            recheck[key] = tuple(store)
         # Objects leave a fragment only with a region that changes state
         # or leaves the table: refs into such a region are checked again.
-        if changed:
-            for key, frag in frags.items():
-                if frag.into & changed:
-                    recheck[key] = frag.objs
-        rho = RegionOrder(stack[::-1])
-        cl, fr = _ids_in(status, CLOSED), _ids_in(status, FROZEN)
+        into = [key for r in changed for key in self.into.get(r, ())]
+        for key in into:
+            frag = self._drop(key)
+            if frag is not None:
+                recheck[key] = frag.objs
+        rho = self.rho
+        cl, fr = ids[CLOSED], ids[FROZEN]
+        external = self.external
         violations: list[dict] = []
         for key, objs in recheck.items():
             kind, r = key
@@ -594,21 +642,21 @@ class Fragments:
                 _ref_violations(rho, cl, fr, ref, violations)
             if violations:
                 return False
-            frags[key] = _Fragment(objs, refs, rho, fr)
-        # var_unique and topology_ok span fragments: sum their counts.
-        indegree: dict[Loc, int] = {}
-        var_targets: set[Loc] = set()
-        external: dict[int, int] = {}
-        for frag in frags.values():
-            for loc, n in frag.temps_in.items():
-                indegree[loc] = indegree.get(loc, 0) + n
-            var_targets |= frag.var_targets
-            for rd, n in frag.external.items():
-                external[rd] = external.get(rd, 0) + n
-        if (any(indegree.get(loc, 0) > 1 for loc in var_targets)
-                or any(n > 1 for n in external.values())):
-            return False
-        # Entry-point chains that run through a fragment checked again.
+            frag = _Fragment(r, objs, refs, rho, fr)
+            if frag.var_shared:
+                return False
+            self._keep(key, frag)
+            # Only the totals this fragment added to can exceed one.
+            if any(external[rd] > 1 for rd in frag.external):
+                return False
+        # var_unique across frames: a paused ref into a var target of a
+        # lower frame is a second ref into it.
+        for f in frames:
+            for dst in frags[("frame", f.r)].paused_temps:
+                if dst in frags[("frame", dst.r)].var_targets:
+                    return False
+        # Entry-point chains that run through a fragment checked again.  A
+        # frame is pushed onto the top frame, which is always checked again.
         for below, above in zip(frames, frames[1:]):
             if above.entry is None:
                 continue
@@ -616,7 +664,7 @@ class Fragments:
             loc_y = where.get(iota_y)
             if loc_y is None:
                 return False
-            if (("frame", below.r) in recheck or ("frame", above.r) in recheck
+            if (("frame", below.r) in recheck
                     or _fragment_of(loc_y) in recheck):
                 if not _chain_ok(self._out_refs, loc_y, below.r, f, above.r):
                     return False
@@ -629,21 +677,49 @@ class Fragments:
             _check_frame_typing(gamma, frame, objects, violations)
             if violations:
                 return False
-        self.status = status
         self.frames = frames[:]
         self.gammas = [g for g, _ in gammas.frames]
         return True
 
-    def _touched(self, frames: list[Frame], changed: set[int]
+    def _drop(self, key: tuple[str, int]) -> Optional[_Fragment]:
+        """Take a fragment out of the summaries and of the totals and
+        index built from them."""
+        frag = self.frags.pop(key, None)
+        if frag is not None:
+            external = self.external
+            for rd, n in frag.external.items():
+                n = external[rd] - n
+                if n:
+                    external[rd] = n
+                else:
+                    del external[rd]
+            into = self.into
+            for rd in frag.into:
+                keys = into[rd]
+                keys.discard(key)
+                if not keys:
+                    del into[rd]
+        return frag
+
+    def _keep(self, key: tuple[str, int], frag: _Fragment) -> None:
+        self.frags[key] = frag
+        external = self.external
+        for rd, n in frag.external.items():
+            external[rd] = external.get(rd, 0) + n
+        into = self.into
+        for rd in frag.into:
+            keys = into.get(rd)
+            if keys is None:
+                into[rd] = {key}
+            else:
+                keys.add(key)
+
+    def _touched(self, frames: list[Frame], n: int, changed: set[int]
                  ) -> Optional[set[tuple[str, int]]]:
-        """The fragments a step touched; None if the effect writes an
-        object the summaries do not know."""
+        """The fragments a step touched, where the first n frames are
+        the last check's; None if the effect writes an object the
+        summaries do not know."""
         prev = self.frames
-        n = 0
-        for a, b in zip(prev, frames):
-            if a is not b:
-                break
-            n += 1
         touched = {("frame", f.r) for f in prev[n:] + frames[n:]}
         touched.update(("store", r) for r in changed)
         touched.add(("frame", frames[-1].r))
@@ -664,8 +740,12 @@ class Fragments:
         return touched
 
     def _out_refs(self, loc: Loc) -> list[Ref]:
-        return [ref for ref in self.frags[_fragment_of(loc)].refs
-                if ref.src == loc]
+        frag = self.frags[_fragment_of(loc)]
+        if frag.out is None:
+            frag.out = {}
+            for ref in frag.refs:
+                frag.out.setdefault(ref.src, []).append(ref)
+        return frag.out.get(loc, [])
 
 
 def _objects_by_id(m: Machine) -> dict[int, Object]:
@@ -718,6 +798,13 @@ def _consume(checker: Checker, gamma: Gamma, u) -> Optional[Type]:
     return t
 
 
+@lru_cache(maxsize=1)
+def _checker(classes: ClassTable) -> Checker:
+    """The checker whose check_use types an effect's uses: one for a run's
+    class table, not one per step."""
+    return Checker(classes, FunctionTable())
+
+
 def check_effect_wf(gammas: ContextStack, eff: Effect,
                     classes: ClassTable) -> Optional[ContextStack]:
     """Evolve the context stack by one effect; None if any premise fails.
@@ -725,7 +812,7 @@ def check_effect_wf(gammas: ContextStack, eff: Effect,
     The result shares every context but the top one with gammas, which is
     left unchanged."""
     out = gammas.copy_top()
-    checker = Checker(classes, FunctionTable())
+    checker = _checker(classes)
     gamma = checker._owned = out.top
     if isinstance(eff, Eps):
         return out

@@ -132,3 +132,12 @@ def test_fuzz_buggy_machine_writes_reproducer(tmp_path):
     assert p.returncode == 3
     assert p.stdout.startswith("ABORT")
     assert out.exists()
+
+
+def test_fuzz_unwritable_reproducer_exit_10(tmp_path):
+    out = tmp_path / "no_such_dir" / "x.rgo"
+    p = _cli("fuzz", "--seeds", "3", "--bugs", "exit-keep-temps",
+             "--reproducer", str(out))
+    assert p.returncode == 10
+    assert p.stdout.startswith("ABORT")
+    assert p.stderr == f"{out}: No such file or directory\n"

@@ -15,7 +15,7 @@ from reggio.invariants import (ContextStack, Fragments, GraphError,
                                check_config_wf)
 from reggio.machine import (CLOSED, EFFECT_NAMES, FROZEN, KNOWN_BUGS,
                             V_UNDEF, Bind, EnterEff, Eps, FreezeEff, Halloc,
-                            Machine, Salloc, Swap)
+                            Machine, Object, Salloc, Swap)
 from reggio.model import Cap, ClassTable
 from reggio.syntax import Use, parse_program, parse_type
 
@@ -153,6 +153,63 @@ def test_var_unique_spans_refs():
         report = _check(m, state, eff)
     assert [v["predicate"] for v in report["violations"]] == ["var_unique"]
     assert state.checks == 3
+
+
+def test_external_ref_moves_between_fragments():
+    """An external ref into a region leaves one fragment, and on the next
+    step another fragment gains one.  The running total must drop the
+    first, or the second step reads as two refs into the region."""
+    m, state = Machine(_classes()), Lockstep()
+    eff = Halloc("c", Cap.ISO, "C", ())
+    m.step_effect(eff)
+    assert _check(m, state, eff)["verdict"]
+    _, iota = m.frames[0].vars["c"]
+    # The frame gives up its one ref into c's region ...
+    m.frames[0].vars["c"] = V_UNDEF
+    assert _check(m, state, Eps())["verdict"]
+    # ... and region 0's store gains one on the next step.
+    m.regions[0].store[m.fresh_iota()] = Object("H", {"h": (Cap.ISO, iota)})
+    assert _check(m, state, Halloc("h", Cap.MUT, "H", ()))["verdict"]
+    assert state.checks == 3
+
+
+def test_second_external_ref_beside_untouched_one():
+    """A second external ref into a region appears in a fragment the step
+    extracts again, while the first sits in one the step does not touch."""
+    m, state = Machine(_classes()), Lockstep()
+    for eff in (Halloc("c", Cap.ISO, "C", ()),
+                Halloc("h", Cap.MUT, "H", (Use("c", True),))):
+        m.step_effect(eff)
+        assert _check(m, state, eff)["verdict"]
+    # h.h, in region 0's store, is the one external ref into c's region.
+    _, iota_h = m.frames[0].vars["h"]
+    _, iota = m.regions[0].store[iota_h].fields["h"]
+    m.frames[0].vars["d"] = (Cap.ISO, iota)
+    report = _check(m, state, Eps())
+    assert [v["predicate"] for v in report["violations"]] == ["topology_ok"]
+
+
+def test_paused_ref_into_var_cell_of_frame_below():
+    """A paused ref from the top frame into the var cell of the frame below
+    is a second ref into the cell: var_unique spans frames."""
+    m, state = Machine(_classes()), Lockstep()
+    gammas = ContextStack()
+    for eff in (Halloc("a", Cap.MUT, "C", ()),
+                Salloc("v", Cap.VAR, "Cell", (Use("a"),)),
+                Halloc("c", Cap.ISO, "C", ()),
+                Halloc("h", Cap.MUT, "H", (Use("c", True),)),
+                EnterEff("w", Cap.TMP, "h", "h", ())):
+        m.step_effect(eff)
+        if isinstance(eff, EnterEff):
+            gammas.frames.append(({}, ("h", "h")))
+        state.effect = eff
+        assert check_config_wf(gammas, m, state)["verdict"]
+    _, iota_v = m.frames[0].vars["v"]
+    m.frames[1].vars["p"] = (Cap.PAUSED, iota_v)
+    state.effect = Eps()
+    report = check_config_wf(gammas, m, state)
+    assert [v["predicate"] for v in report["violations"]] == ["var_unique"]
+    assert not state.mismatches
 
 
 def test_new_context_retypes_untouched_frame():
