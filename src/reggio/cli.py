@@ -8,7 +8,8 @@ Subcommands:
 
 Exit codes: 0 done; 1 type error; 2 failed (badenter); 3 stuck or invariant
 violation; 4 budget exhausted; 5 internal error (a defect of reggio,
-reported in one line); 10 I/O error.
+reported in one line); 10 I/O error or a bad option value: an unknown
+--bugs name, or fuzz --seeds below 0 or --depth below 1.
 """
 from __future__ import annotations
 
@@ -134,6 +135,12 @@ def cmd_trace(args) -> int:
 
 def cmd_fuzz(args) -> int:
     from .fuzz import GenConfig, campaign
+    for opt, value, least in (("--seeds", args.seeds, 0),
+                              ("--depth", args.depth, 1)):
+        if value < least:
+            print(f"{opt} must be at least {least}, got {value}",
+                  file=sys.stderr)
+            raise SystemExit(EXIT_IO)
     cfg = GenConfig(seed=args.seed, max_depth=args.depth)
     result = campaign(n=args.seeds, cfg=cfg, budget=args.budget,
                       bugs=_parse_bugs(args.bugs))

@@ -26,13 +26,6 @@ from .syntax import (Assign, Call, Deref, Enter, Expr, Freeze, Let, LVal,
 
 
 class _Failure:
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
     def __repr__(self) -> str:
         return "Failure"
 
@@ -176,13 +169,9 @@ def desugar_program(prog: Program) -> Program:
 def synth_effect(x: str, b: Expr) -> Effect:
     """The 11-row effect table for simple bound expressions."""
     if isinstance(b, Deref):
-        if b.target.fld is None:
-            return Load(x, b.target.name, "val")
-        return Load(x, b.target.name, b.target.fld)
+        return Load(x, b.target.name, b.target.field)
     if isinstance(b, Assign):
-        if b.target.fld is None:
-            return Swap(x, b.target.name, "val", b.use)
-        return Swap(x, b.target.name, b.target.fld, b.use)
+        return Swap(x, b.target.name, b.target.field, b.use)
     if isinstance(b, New):
         if b.cap is Cap.TMP:
             return Salloc(x, Cap.TMP, b.cls, b.args)
@@ -296,8 +285,7 @@ class TandemRunner:
             eff = synth_effect(x2, u)
         else:
             t = frame.target
-            fld = t.fld if t.fld is not None else "val"
-            eff = ExitEff(x2, u, t.name, fld, frame.bridge, "val")
+            eff = ExitEff(x2, u, t.name, t.field, frame.bridge, "val")
         self.env = frame.env
         self.env[frame.name] = x2
         self.control = frame.body
@@ -314,7 +302,7 @@ class TandemRunner:
             b = desugar_explore(b)
         env = self.env
         target = rename_lval(b.target, env)
-        fld = target.fld if target.fld is not None else "val"
+        fld = target.field
         if not self.machine.enter_enabled(target.name, fld):
             self.control = FAILURE
             self._unwind()

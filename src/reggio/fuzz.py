@@ -20,45 +20,40 @@ from .model import (Cap, CapType, CellHead, ClassName, ClassTable, FunSig,
                     vpa_type)
 from .syntax import (Assign, Call, Deref, Enter, Expr, Freeze, Let, LVal,
                      Merge, New, Program, TypeTest, Use, VarAlloc, fold,
-                     pretty_program, rebuild, walk)
+                     parse_type, pretty_program, rebuild, walk)
 from .typecheck import TypeCheckError, check_program
 
 # ---------------------------------------------------------------------------
 # Configuration
 # ---------------------------------------------------------------------------
 
-_DEFAULT_WEIGHTS = {
-    "new": 3.0,
-    "freeze": 2.0,
-    "merge": 1.0,
-    "var": 1.5,
-    "deref": 1.5,
-    "swap": 2.0,
-    "swap_var": 1.0,
-    "enter": 3.0,
-    "enter_var": 2.0,
-    "typetest": 1.0,
-    "call": 0.05,
-}
-
-
 @dataclass(frozen=True)
 class GenConfig:
     seed: int = 0
     max_depth: int = 8        # statements per block scale
-    max_classes: int = 6      # how much of the class menu to use
-    max_fields: int = 2       # widest class in the menu
-    max_functions: int = 1
-    enter_nesting: int = 3
-    weights: tuple[tuple[str, float], ...] = tuple(
-        sorted(_DEFAULT_WEIGHTS.items()))
 
     def __post_init__(self) -> None:
-        if min(self.max_depth, self.max_classes, self.max_fields,
-               self.max_functions + 1, self.enter_nesting) < 1:
-            raise ValueError("all bounds must be >= 1")
-        if any(w <= 0 for _, w in self.weights):
-            raise ValueError("weights must be positive")
+        if self.max_depth < 1:
+            raise ValueError("max_depth must be >= 1")
+
+
+# Each production's weight.  rng.choices draws by position, so this order
+# (by name) fixes the program a seed generates.
+_WEIGHTS = {
+    "call": 0.05,
+    "deref": 1.5,
+    "enter": 3.0,
+    "enter_var": 2.0,
+    "freeze": 2.0,
+    "merge": 1.0,
+    "new": 3.0,
+    "swap": 2.0,
+    "swap_var": 1.0,
+    "typetest": 1.0,
+    "var": 1.5,
+}
+
+_ENTER_NESTING = 3  # how deeply enters nest
 
 
 # The fixed class menu.  A is the zero-field base; D nests a region (its
@@ -74,10 +69,9 @@ _MENU: list[tuple[str, list[tuple[str, str]]]] = [
 ]
 
 
-def _menu_classes(cfg: GenConfig) -> ClassTable:
-    from .syntax import parse_type
+def _menu_classes() -> ClassTable:
     table = ClassTable()
-    for name, fields in _MENU[:max(2, cfg.max_classes)]:
+    for name, fields in _MENU:
         table.declare(name, [(f, parse_type(src)) for f, src in fields])
     return table
 
@@ -111,13 +105,14 @@ class _Gen:
     def __init__(self, cfg: GenConfig, seed: int) -> None:
         self.cfg = cfg
         self.rng = random.Random(seed)
-        self.classes = _menu_classes(cfg)
-        self.class_names = [n for n, _ in _MENU[:max(2, cfg.max_classes)]]
+        self.classes = _menu_classes()
+        self.class_names = [n for n, _ in _MENU]
         self.holders = [n for n in self.class_names if n.startswith("H")]
         self.functions = FunctionTable()
         self.fn_order: list[str] = []
         self.counter = 0
-        if cfg.max_functions >= 1 and self.rng.random() < 0.3:
+        self.productions = [getattr(self, "p_" + name) for name in _WEIGHTS]
+        if self.rng.random() < 0.3:
             body = Let("sr", Call(_SPIN, ()), Use("sr", True))
             self.functions.declare(
                 _SPIN, FunSig((), CapType(Cap.ISO, ClassName("A")), body))
@@ -216,6 +211,9 @@ class _Gen:
         else:
             self._emit(scope, Freeze(u), make_imm(t), "fz")
         return True
+
+    def p_merge(self, scope: _Scope) -> bool:
+        return self.p_freeze(scope, merge=True)
 
     def p_var(self, scope: _Scope) -> bool:
         isos = self._droppable_isos(scope)
@@ -464,32 +462,18 @@ class _Gen:
     # -- program ----------------------------------------------------------------
 
     def step(self, scope: _Scope) -> None:
-        names = [n for n, _ in self.cfg.weights]
-        weights = [w for _, w in self.cfg.weights]
-        table: dict[str, Callable[[_Scope], bool]] = {
-            "new": self.p_new,
-            "freeze": self.p_freeze,
-            "merge": lambda s: self.p_freeze(s, merge=True),
-            "var": self.p_var,
-            "deref": self.p_deref,
-            "swap": self.p_swap,
-            "swap_var": self.p_swap_var,
-            "enter": self.p_enter,
-            "enter_var": self.p_enter_var,
-            "typetest": self.p_typetest,
-            "call": self.p_call,
-        }
         for _ in range(6):
-            choice = self.rng.choices(names, weights)[0]
+            production = self.rng.choices(self.productions,
+                                          _WEIGHTS.values())[0]
             try:
-                if table[choice](scope):
+                if production(scope):
                     return
             except _GiveUp:
                 pass
         self.p_new(scope)
 
     def program(self) -> Program:
-        scope = _Scope(depth=self.cfg.enter_nesting)
+        scope = _Scope(depth=_ENTER_NESTING)
         if self.cfg.max_depth == 1:
             self.materialize(scope, Cap.MUT, "A", fresh=True)
         else:
@@ -502,8 +486,7 @@ class _Gen:
             ret = self.materialize(scope, Cap.MUT, "A")
         main = _fold(scope.stmts, ret)
         return Program(self.classes, self.functions, main,
-                       [n for n, _ in _MENU[:max(2, self.cfg.max_classes)]],
-                       list(self.fn_order))
+                       list(self.class_names), list(self.fn_order))
 
 
 def _fold(stmts: list[tuple[str, Expr]], ret: Expr) -> Expr:

@@ -389,25 +389,21 @@ def frame_entries(m: Machine) -> list[tuple[int, tuple[int, str], int]]:
 
 @dataclass
 class ContextStack:
-    """Typing contexts mirroring the region stack; bottom first.
+    """Typing contexts mirroring the region stack; bottom first."""
 
-    Each cons above the root carries the entry lval (y, f) tag."""
-
-    frames: list[tuple[Gamma, Optional[tuple[str, str]]]] = field(
-        default_factory=lambda: [({}, None)])
+    frames: list[Gamma] = field(default_factory=lambda: [{}])
 
     def copy_top(self) -> "ContextStack":
         """A stack with its own copy of the top context and every lower
         context shared; a caller that writes a lower context copies it
         first."""
         frames = self.frames[:]
-        g, tag = frames[-1]
-        frames[-1] = (dict(g), tag)
+        frames[-1] = dict(frames[-1])
         return ContextStack(frames)
 
     @property
     def top(self) -> Gamma:
-        return self.frames[-1][0]
+        return self.frames[-1]
 
 
 def _tag_matches(obj_tag: str, t: Type, cap: Cap) -> bool:
@@ -463,7 +459,7 @@ def check_config_wf(gammas: Optional[ContextStack], m: Machine,
                 "stack height", [], stack_ids))
         else:
             objects = _objects_by_id(m)
-            for (gamma, _), frame in zip(gammas.frames, m.frames):
+            for gamma, frame in zip(gammas.frames, m.frames):
                 _check_frame_typing(gamma, frame, objects, violations)
     try:
         g = build_graph(m)
@@ -670,7 +666,7 @@ class Fragments:
                     return False
         # Frame typing, for the frames checked again or given a new context.
         old_gammas = self.gammas
-        for i, ((gamma, _), frame) in enumerate(zip(gammas.frames, frames)):
+        for i, (gamma, frame) in enumerate(zip(gammas.frames, frames)):
             if (i < len(old_gammas) and old_gammas[i] is gamma
                     and ("frame", frame.r) not in recheck):
                 continue
@@ -678,7 +674,7 @@ class Fragments:
             if violations:
                 return False
         self.frames = frames[:]
-        self.gammas = [g for g, _ in gammas.frames]
+        self.gammas = gammas.frames[:]
         return True
 
     def _drop(self, key: tuple[str, int]) -> Optional[_Fragment]:
@@ -885,17 +881,11 @@ def check_effect_wf(gammas: ContextStack, eff: Effect,
             return None
         gamma[eff.x] = make_mut(t)
         return out
-    if isinstance(eff, CastEff):
+    if isinstance(eff, (CastEff, NoCastEff)):
         t = _consume(checker, gamma, eff.use)
         if t is None:
             return None
-        gamma[eff.x] = eff.ty
-        return out
-    if isinstance(eff, NoCastEff):
-        t = _consume(checker, gamma, eff.use)
-        if t is None:
-            return None
-        gamma[eff.x] = t
+        gamma[eff.x] = eff.ty if isinstance(eff, CastEff) else t
         return out
     return None
 
@@ -958,7 +948,7 @@ def _wf_enter(checker: Checker, out: ContextStack, gamma: Gamma,
         new_gamma[eff.w] = make_cell(make_mut(t_f))
     else:
         new_gamma[eff.w] = CapType(Cap.TMP, CellHead(make_mut(t_f)))
-    out.frames.append((new_gamma, (eff.y, eff.f)))
+    out.frames.append(new_gamma)
     return out
 
 
@@ -966,7 +956,7 @@ def _wf_exit(checker: Checker, out: ContextStack, eff: ExitEff,
              classes: ClassTable) -> Optional[ContextStack]:
     if len(out.frames) < 2:
         return None
-    popped, _tag = out.frames.pop()
+    popped = out.frames.pop()
     t_ret = _consume(checker, popped, eff.use)
     if t_ret is None or not cap_in({Cap.ISO, Cap.IMM}, t_ret):
         return None
@@ -979,9 +969,8 @@ def _wf_exit(checker: Checker, out: ContextStack, eff: ExitEff,
     t_new = fresult(t_w, eff.g, classes)
     if t_new is None or not cap_in({Cap.MUT}, t_new):
         return None
-    gamma, tag = out.frames[-1]
-    gamma = dict(gamma)  # shared with the input stack until now
-    out.frames[-1] = (gamma, tag)
+    gamma = dict(out.frames[-1])  # shared with the input stack until now
+    out.frames[-1] = gamma
     t_y = gamma.get(eff.y)
     if t_y is None or t_y is UNDEF:
         return None

@@ -42,9 +42,6 @@ class Object:
     tag: str  # class name, or "Cell"
     fields: dict[str, Value]
 
-    def copy(self) -> "Object":
-        return Object(self.tag, dict(self.fields))
-
 
 Store = dict[int, Object]
 
@@ -291,12 +288,18 @@ class Machine:
 
     # -- dynamic checks used by the driver --------------------------------------
 
-    def bridge_target(self, y: str, f: str) -> int:
-        """The object-id stored at y.f (entry lval of an enter)."""
+    def bridge_holder(self, op: str, y: str, f: str) -> tuple[int, Object]:
+        """The object-id bound to y and its object, which has a field f:
+        the holder of the bridge y.f that op (enter or exit) crosses."""
         _, iota_y = self.peek(y)
         obj = self.cfg_load(iota_y, (OPEN,))
         if obj is None or f not in obj.fields:
-            raise Stuck(f"enter: cannot resolve {y}.{f}")
+            raise Stuck(f"{op}: cannot resolve {y}.{f}")
+        return iota_y, obj
+
+    def bridge_target(self, y: str, f: str) -> int:
+        """The object-id stored at y.f (entry lval of an enter)."""
+        _, obj = self.bridge_holder("enter", y, f)
         v = obj.fields[f]
         if v is V_UNDEF:
             raise Stuck(f"enter: {y}.{f} is undefined")
@@ -407,10 +410,7 @@ class Machine:
                 if k2 is None:
                     raise Stuck(f"enter: capture {z} has capability {k}")
             new_vars[z] = (k2, iota)
-        _, iota_y = self.peek(eff.y)
-        obj_y = self.cfg_load(iota_y, (OPEN,))
-        if obj_y is None or eff.f not in obj_y.fields:
-            raise Stuck(f"enter: cannot resolve {eff.y}.{eff.f}")
+        iota_y, obj_y = self.bridge_holder("enter", eff.y, eff.f)
         _, bridge = obj_y.fields[eff.f]
         r = self.closed_region_of(bridge)
         if r is None:
@@ -425,8 +425,7 @@ class Machine:
                                  reinstate=reinstate))
 
     def _step_badenter(self, eff: BadEnter) -> None:
-        iota = self.bridge_target(eff.y, eff.f)
-        if self.closed_region_of(iota) is not None:
+        if self.enter_enabled(eff.y, eff.f):
             raise Stuck("badenter: target region is closed "
                         "(enter should have been selected)")
 
@@ -443,10 +442,7 @@ class Machine:
             raise Stuck(f"exit: {eff.w}.{eff.g} does not name the cell")
         _, new_bridge = cell.fields[eff.g]
         top = self.top
-        _, iota_y = self.peek(eff.y)
-        obj_y = self.cfg_load(iota_y, (OPEN,))
-        if obj_y is None or eff.f not in obj_y.fields:
-            raise Stuck(f"exit: cannot resolve {eff.y}.{eff.f}")
+        _, obj_y = self.bridge_holder("exit", eff.y, eff.f)
         k_f, _ = obj_y.fields[eff.f]
         if "exit-mut-writeback" in self.bugs:
             k_f = Cap.MUT

@@ -68,6 +68,11 @@ class LVal:
     fld: str | None = None
     pos: Pos = (0, 0)
 
+    @property
+    def field(self) -> str:
+        """The field the lval names: a bare variable names its cell's val."""
+        return self.fld if self.fld is not None else "val"
+
     def __str__(self) -> str:
         return self.name if self.fld is None else f"{self.name}.{self.fld}"
 
@@ -415,17 +420,7 @@ class Parser:
         self.expect("kw", "class")
         name = self.ident()
         self.expect("{")
-        fields: list[tuple[str, Type]] = []
-        if not self.at("}"):
-            while True:
-                f = self.ident()
-                self.expect(":")
-                fields.append((f.text, self.type()))
-                if self.at(","):
-                    self.next()
-                else:
-                    break
-        self.expect("}")
+        fields = self.items_until("}", self.typed_name)
         try:
             prog.classes.declare(name.text, fields)
         except KeyError as exc:
@@ -436,17 +431,7 @@ class Parser:
         self.expect("kw", "fn")
         name = self.ident()
         self.expect("(")
-        params: list[tuple[str, Type]] = []
-        if not self.at(")"):
-            while True:
-                x = self.ident()
-                self.expect(":")
-                params.append((x.text, self.type()))
-                if self.at(","):
-                    self.next()
-                else:
-                    break
-        self.expect(")")
+        params = self.items_until(")", self.typed_name)
         self.expect(":")
         result = self.type()
         self.expect("{")
@@ -458,6 +443,23 @@ class Parser:
         except KeyError as exc:
             raise ParseError(str(exc.args[0]), name.pos) from None
         prog.fn_order.append(name.text)
+
+    def typed_name(self) -> tuple[str, Type]:
+        """x ":" type: a class field or a function parameter."""
+        x = self.ident()
+        self.expect(":")
+        return x.text, self.type()
+
+    def items_until(self, closer: str, item: Callable[[], T]) -> list[T]:
+        """item ("," item)*, or nothing, up to and including closer."""
+        items: list[T] = []
+        if not self.at(closer):
+            items.append(item())
+            while self.at(","):
+                self.next()
+                items.append(item())
+        self.expect(closer)
+        return items
 
     # -- types ---------------------------------------------------------------
 
@@ -563,7 +565,7 @@ class Parser:
             self.next()
             cls = self.ident()
             self.expect("(")
-            args = self.uses_until(")")
+            args = tuple(self.items_until(")", self.use))
             return New(_CAP_WORDS[cap_tok.text], cls.text, args, tok.pos)
         if self.at("kw", "freeze"):
             self.next()
@@ -576,17 +578,7 @@ class Parser:
             self.next()
             target = self.lval()
             self.expect("[")
-            captures: list[tuple[str, Use]] = []
-            if not self.at("]"):
-                while True:
-                    y = self.ident()
-                    self.expect("=")
-                    captures.append((y.text, self.use()))
-                    if self.at(","):
-                        self.next()
-                    else:
-                        break
-            self.expect("]")
+            captures = self.items_until("]", self.capture)
             self.expect("{")
             z = self.ident()
             self.expect("=>")
@@ -600,7 +592,7 @@ class Parser:
         x = self.ident()
         if self.at("("):
             self.next()
-            args = self.uses_until(")")
+            args = tuple(self.items_until(")", self.use))
             return Call(x.text, args, x.pos)
         if self.at("."):
             self.next()
@@ -612,17 +604,11 @@ class Parser:
             return Assign(LVal(x.text, None, x.pos), self.use(), x.pos)
         return Use(x.text, False, x.pos)
 
-    def uses_until(self, closer: str) -> tuple[Use, ...]:
-        args: list[Use] = []
-        if not self.at(closer):
-            while True:
-                args.append(self.use())
-                if self.at(","):
-                    self.next()
-                else:
-                    break
-        self.expect(closer)
-        return tuple(args)
+    def capture(self) -> tuple[str, Use]:
+        """y "=" use: an enter capture."""
+        y = self.ident()
+        self.expect("=")
+        return y.text, self.use()
 
 
 def parse_program(src: str) -> Program:

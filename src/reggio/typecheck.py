@@ -24,13 +24,6 @@ from .syntax import (Assign, Call, Deref, Enter, Expr, Freeze, Let, Merge,
 class _Undef:
     """Sentinel binding for buried (dropped) variables."""
 
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
     def __repr__(self) -> str:
         return "UNDEF"
 
@@ -104,10 +97,6 @@ def fresult_keep_iso(t: Type, f: str, classes: ClassTable) -> Type | None:
     return map_leaves(ftype, adapt)
 
 
-def rtype(t: Type) -> str:
-    return pretty_type(t)
-
-
 class Checker:
     """Type checker over a fixed class/function table."""
 
@@ -140,8 +129,8 @@ class Checker:
         t = self.lookup(gamma, u.name, "cmd-ty-use-keep", u.pos)
         if not cap_not_in({Cap.ISO, Cap.VAR}, t):
             _fail("cmd-ty-use-keep",
-                  f"plain read of {u.name}: {rtype(t)} would duplicate an "
-                  f"iso/var; use `drop {u.name}`", u.pos)
+                  f"plain read of {u.name}: {pretty_type(t)} would "
+                  f"duplicate an iso/var; use `drop {u.name}`", u.pos)
         return t, gamma
 
     # -- expressions -----------------------------------------------------------
@@ -163,13 +152,15 @@ class Checker:
             t, g2 = self.check_use(gamma, e.use)
             if not cap_in({Cap.ISO}, t):
                 _fail("cmd-ty-freeze",
-                      f"freeze demands an iso value, got {rtype(t)}", e.pos)
+                      f"freeze demands an iso value, got {pretty_type(t)}",
+                      e.pos)
             return make_imm(t), g2
         if isinstance(e, Merge):
             t, g2 = self.check_use(gamma, e.use)
             if not cap_in({Cap.ISO}, t):
                 _fail("cmd-ty-merge",
-                      f"merge demands an iso value, got {rtype(t)}", e.pos)
+                      f"merge demands an iso value, got {pretty_type(t)}",
+                      e.pos)
             return make_mut(t), g2
         if isinstance(e, Call):
             return self._check_call(gamma, e)
@@ -220,21 +211,22 @@ class Checker:
             t_x = self.lookup(gamma, x, "cmd-ty-deref-var", e.pos)
             if not cap_in({Cap.VAR}, t_x):
                 _fail("cmd-ty-deref-var",
-                      f"*{x} requires a var binding, got {rtype(t_x)}", e.pos)
+                      f"*{x} requires a var binding, got "
+                      f"{pretty_type(t_x)}", e.pos)
             t = fresult(t_x, "val", self.classes)
             if t is None:
                 _fail("cmd-ty-deref-var",
                       f"viewpoint adaptation of *{x} is undefined "
-                      f"(content of {rtype(t_x)} cannot be read)", e.pos)
+                      f"(content of {pretty_type(t_x)} cannot be read)", e.pos)
             return t, gamma
         t_x = self.lookup(gamma, x, "cmd-ty-deref-field", e.pos)
         if not cap_not_in({Cap.ISO}, t_x):
             _fail("cmd-ty-deref-field",
-                  f"receiver {x}: {rtype(t_x)} may not be iso", e.pos)
+                  f"receiver {x}: {pretty_type(t_x)} may not be iso", e.pos)
         t = fresult(t_x, f, self.classes)
         if t is None:
             _fail("cmd-ty-deref-field",
-                  f"*{x}.{f} is undefined through {rtype(t_x)} "
+                  f"*{x}.{f} is undefined through {pretty_type(t_x)} "
                   "(missing field or inaccessible viewpoint)", e.pos)
         return t, gamma
 
@@ -244,13 +236,14 @@ class Checker:
         t_u, g2 = self.check_use(gamma, e.use)
         if not cap_not_in({Cap.VAR}, t_u):
             _fail("cmd-ty-assign",
-                  f"a var binding cannot be stored ({rtype(t_u)})", e.pos)
+                  f"a var binding cannot be stored ({pretty_type(t_u)})",
+                  e.pos)
         if f is not None:
             t_x = self.lookup(g2, x, "cmd-ty-assign", e.pos)
             if not cap_in({Cap.MUT, Cap.TMP}, t_x):
                 _fail("cmd-ty-assign",
                       f"field update needs a mut/tmp receiver, "
-                      f"{x} is {rtype(t_x)}", e.pos)
+                      f"{x} is {pretty_type(t_x)}", e.pos)
             old: Type | None = None
             for leaf in leaves(t_x):
                 ftype = self.classes.ftype(leaf.head, f)
@@ -259,25 +252,27 @@ class Checker:
                           f"{leaf.head} has no field {f}", e.pos)
                 if not subtype(t_u, ftype):
                     _fail("cmd-ty-assign",
-                          f"{rtype(t_u)} is not a subtype of field type "
-                          f"{rtype(ftype)}", e.pos)
+                          f"{pretty_type(t_u)} is not a subtype of field type "
+                          f"{pretty_type(ftype)}", e.pos)
                 old = ftype if old is None else UnionType(old, ftype)
             return old, g2
         # Strong update of a var cell.
         t_x = self.lookup(g2, x, "cmd-ty-assign-var", e.pos)
         if not cap_in({Cap.VAR}, t_x):
             _fail("cmd-ty-assign-var",
-                  f"{x} := requires a var binding, got {rtype(t_x)}", e.pos)
+                  f"{x} := requires a var binding, got {pretty_type(t_x)}",
+                  e.pos)
         if x in adjacent and not cap_in({Cap.MUT}, t_u):
+            t_mut = map_leaves(t_u, lambda l: CapType(Cap.MUT, l.head))
             _fail("cmd-ty-assign-var-adjacent",
-                  f"rejected: {e.use} is {rtype(t_u)}, not "
-                  f"{rtype(map_leaves(t_u, lambda l: CapType(Cap.MUT, l.head)))}"
+                  f"rejected: {e.use} is {pretty_type(t_u)}, not "
+                  f"{pretty_type(t_mut)}"
                   " — the bridge cell of an entered region must hold a mut",
                   e.pos)
         t_f = fresult(t_x, "val", self.classes)
         if t_f is None:
             _fail("cmd-ty-assign-var",
-                  f"the old content of {x}: {rtype(t_x)} cannot be "
+                  f"the old content of {x}: {pretty_type(t_x)} cannot be "
                   "read out (viewpoint adaptation undefined)", e.pos)
         g3 = dict(g2)
         g3[x] = make_cell(t_u)
@@ -289,7 +284,7 @@ class Checker:
         if not cap_not_in({Cap.VAR}, t_u):
             _fail("cmd-ty-create-var",
                   f"a var binding cannot be stored in a cell "
-                  f"({rtype(t_u)})", e.pos)
+                  f"({pretty_type(t_u)})", e.pos)
         return CapType(Cap.VAR, CellHead(t_u)), g2
 
     def _check_new(self, gamma: Gamma, e: New) -> tuple[Type, Gamma]:
@@ -307,12 +302,12 @@ class Checker:
             t_a, gamma = self.check_use(gamma, arg)
             if not subtype(t_a, ftype):
                 _fail("cmd-ty-new",
-                      f"argument for {e.cls}.{fname}: {rtype(t_a)} is not "
-                      f"a subtype of {rtype(ftype)}", arg.pos)
+                      f"argument for {e.cls}.{fname}: {pretty_type(t_a)} "
+                      f"is not a subtype of {pretty_type(ftype)}", arg.pos)
             if e.cap is Cap.ISO and not cap_in({Cap.ISO, Cap.IMM}, t_a):
                 _fail("cmd-ty-new",
                       f"iso constructor arguments must be iso or imm, "
-                      f"{fname} gets {rtype(t_a)}", arg.pos)
+                      f"{fname} gets {pretty_type(t_a)}", arg.pos)
         return CapType(e.cap, ClassName(e.cls)), gamma
 
     def _check_call(self, gamma: Gamma, e: Call) -> tuple[Type, Gamma]:
@@ -327,8 +322,8 @@ class Checker:
             t_a, gamma = self.check_use(gamma, arg)
             if not subtype(t_a, ptype):
                 _fail("cmd-ty-call",
-                      f"argument {pname}: {rtype(t_a)} is not a subtype "
-                      f"of {rtype(ptype)}", arg.pos)
+                      f"argument {pname}: {pretty_type(t_a)} is not a subtype "
+                      f"of {pretty_type(ptype)}", arg.pos)
         return sig.result, gamma
 
     def _capture_context(self, gamma: Gamma, e: Enter,
@@ -351,7 +346,7 @@ class Checker:
                           f"the {u.name} storage location is paused inside "
                           "the block and cannot be captured", u.pos)
                 _fail(rule,
-                      f"capture {y}: {rtype(t_i)} cannot be suspended "
+                      f"capture {y}: {pretty_type(t_i)} cannot be suspended "
                       "(viewpoint adaptation undefined)", u.pos)
             body_ctx[y] = adapted
         return gamma, body_ctx
@@ -371,23 +366,23 @@ class Checker:
         t_x = self.lookup(gamma, x, "cmd-ty-enter", e.pos)
         if not cap_in(OPEN_CAPS, t_x):
             _fail("cmd-ty-enter",
-                  f"enter target {x}: {rtype(t_x)} must have an open "
+                  f"enter target {x}: {pretty_type(t_x)} must have an open "
                   "capability (mut, tmp, var, or paused)", e.pos)
         t_f = fresult_keep_iso(t_x, f, self.classes)
         if t_f is None:
             _fail("cmd-ty-enter",
-                  f"{x}.{f} is undefined through {rtype(t_x)}", e.pos)
+                  f"{x}.{f} is undefined through {pretty_type(t_x)}", e.pos)
         if not cap_in({Cap.ISO}, t_f):
             _fail("cmd-ty-enter",
                   f"field capability must be iso, {x}.{f} is "
-                  f"{rtype(t_f)}", e.pos)
+                  f"{pretty_type(t_f)}", e.pos)
         t_z = CapType(Cap.TMP, CellHead(make_mut(t_f)))
         body_ctx[e.binder] = t_z
         t_body, g_out = self.check_expr(body_ctx, e.body)
         if not cap_in({Cap.ISO, Cap.IMM}, t_body):
             _fail("cmd-ty-enter",
                   f"the block may only return iso's and imm's, got "
-                  f"{rtype(t_body)}", e.pos)
+                  f"{pretty_type(t_body)}", e.pos)
         if g_out.get(e.binder) != t_z:
             _fail("cmd-ty-enter",
                   f"the binding of {e.binder} must be unchanged at the "
@@ -401,16 +396,16 @@ class Checker:
         t_x = self.lookup(gamma, x, "cmd-ty-enter-var", e.pos)
         if not cap_in({Cap.VAR}, t_x):
             _fail("cmd-ty-enter-var",
-                  f"enter target {x}: {rtype(t_x)} must be a var binding",
-                  e.pos)
+                  f"enter target {x}: {pretty_type(t_x)} must be a var "
+                  "binding", e.pos)
         t_f = fresult_keep_iso(t_x, "val", self.classes)
         if t_f is None:
             _fail("cmd-ty-enter-var",
-                  f"content of {x}: {rtype(t_x)} is undefined", e.pos)
+                  f"content of {x}: {pretty_type(t_x)} is undefined", e.pos)
         if not cap_in({Cap.ISO}, t_f):
             _fail("cmd-ty-enter-var",
                   f"cell content capability must be iso, {x} holds "
-                  f"{rtype(t_f)}", e.pos)
+                  f"{pretty_type(t_f)}", e.pos)
         t_z = make_cell(make_mut(t_f))
         body_ctx[e.binder] = t_z
         t_body, g_out = self.check_expr(body_ctx, e.body,
@@ -418,7 +413,7 @@ class Checker:
         if not cap_in({Cap.ISO, Cap.IMM}, t_body):
             _fail("cmd-ty-enter-var",
                   f"the block may only return iso's and imm's, got "
-                  f"{rtype(t_body)}", e.pos)
+                  f"{pretty_type(t_body)}", e.pos)
         t_z_out = g_out.get(e.binder)
         if t_z_out is UNDEF or t_z_out is None:
             _fail("cmd-ty-enter-var",
@@ -428,7 +423,7 @@ class Checker:
         if not cap_in({Cap.MUT}, new_params):
             _fail("cmd-ty-enter-var",
                   f"the final content of {e.binder} must be mut, got "
-                  f"{rtype(new_params)}", e.pos)
+                  f"{pretty_type(new_params)}", e.pos)
         g2 = dict(gamma)
         g2[x] = make_cell(make_iso(new_params))
         return t_body, g2
@@ -440,7 +435,7 @@ class Checker:
                                                          CellHead):
                 _fail("cmd-ty-enter-var",
                       f"the ref cell {e.binder} must stay a var Cell, "
-                      f"got {rtype(t)}", e.pos)
+                      f"got {pretty_type(t)}", e.pos)
             p = leaf.head.param
             contents = p if contents is None else UnionType(contents, p)
         return contents
@@ -449,7 +444,7 @@ class Checker:
                         adjacent: frozenset[str]) -> tuple[Type, Gamma]:
         if not type_wf(e.ty, self.classes):
             _fail("cmd-ty-typetest",
-                  f"tested type {rtype(e.ty)} names an unknown class",
+                  f"tested type {pretty_type(e.ty)} names an unknown class",
                   e.pos)
         t_u, g0 = self.check_use(gamma, e.use)
         shadow = e.binder in g0
@@ -501,7 +496,7 @@ def check_program(prog: Program) -> Type:
         t_body, _ = checker.check_expr(gamma, sig.body)
         if not subtype(t_body, sig.result):
             _fail("cmd-ty-sub",
-                  f"body of {fname}: {rtype(t_body)} is not a subtype of "
-                  f"the declared result {rtype(sig.result)}", (0, 0))
+                  f"body of {fname}: {pretty_type(t_body)} is not a subtype "
+                  f"of the declared result {pretty_type(sig.result)}", (0, 0))
     t_main, _ = checker.check_expr({}, prog.main)
     return t_main

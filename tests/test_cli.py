@@ -125,6 +125,15 @@ def test_fuzz_smoke(tmp_path):
     assert "0 stuck, 0 violations" in p.stdout
 
 
+@pytest.mark.parametrize("option", [("--depth", "0"), ("--seeds", "-3")])
+def test_fuzz_bad_option_value_exit_10(option):
+    """A bad option value is a user error, reported before any run."""
+    p = _cli("fuzz", *option)
+    assert p.returncode == 10
+    assert p.stdout == ""
+    assert p.stderr.startswith(option[0]) and p.stderr.count("\n") == 1
+
+
 def test_fuzz_buggy_machine_writes_reproducer(tmp_path):
     out = tmp_path / "repro.rgo"
     p = _cli("fuzz", "--seeds", "50", "--depth", "8",

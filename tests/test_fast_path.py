@@ -133,7 +133,7 @@ def test_entry_chain_is_rechecked():
         assert check_config_wf(gammas, m, state)["verdict"]
     eff = EnterEff("w", Cap.TMP, "h", "h", (("z", Use("h")),))
     m.step_effect(eff)
-    gammas.frames.append(({}, ("h", "h")))
+    gammas.frames.append({})
     m.frames[0].vars["h"] = V_UNDEF  # only the paused z still reaches h
     state.effect = eff
     report = check_config_wf(gammas, m, state)
@@ -201,7 +201,7 @@ def test_paused_ref_into_var_cell_of_frame_below():
                 EnterEff("w", Cap.TMP, "h", "h", ())):
         m.step_effect(eff)
         if isinstance(eff, EnterEff):
-            gammas.frames.append(({}, ("h", "h")))
+            gammas.frames.append({})
         state.effect = eff
         assert check_config_wf(gammas, m, state)["verdict"]
     _, iota_v = m.frames[0].vars["v"]
@@ -222,11 +222,11 @@ def test_new_context_retypes_untouched_frame():
                 EnterEff("w", Cap.TMP, "h", "h", ())):
         m.step_effect(eff)
         if isinstance(eff, EnterEff):
-            gammas.frames.append(({}, ("h", "h")))
+            gammas.frames.append({})
         state.effect = eff
         assert check_config_wf(gammas, m, state)["verdict"]
     # The bottom frame binds h to an H object; a new context types it C.
-    gammas.frames[0] = ({"h": parse_type("mut C")}, None)
+    gammas.frames[0] = {"h": parse_type("mut C")}
     state.effect = Eps()
     assert not check_config_wf(gammas, m, state)["verdict"]
     assert not state.mismatches
@@ -256,11 +256,11 @@ def test_effect_wf_leaves_input_contexts_unchanged(monkeypatch):
     seen = set()
 
     def checked(gammas, eff, classes):
-        before = [(dict(g), tag) for g, tag in gammas.frames]
-        dicts = [g for g, _ in gammas.frames]
+        before = [dict(g) for g in gammas.frames]
+        dicts = gammas.frames[:]
         out = evolve(gammas, eff, classes)
-        assert [(dict(g), tag) for g, tag in gammas.frames] == before
-        assert all(a is b for (a, _), b in zip(gammas.frames, dicts))
+        assert [dict(g) for g in gammas.frames] == before
+        assert all(a is b for a, b in zip(gammas.frames, dicts))
         seen.add(EFFECT_NAMES[type(eff)])
         return out
 

@@ -48,8 +48,6 @@ def test_depth_one_is_a_single_allocation():
 def test_config_validation():
     with pytest.raises(ValueError):
         GenConfig(seed=0, max_depth=0)
-    with pytest.raises(ValueError):
-        GenConfig(seed=0, max_classes=0)
 
 
 def test_coverage_enter_and_freeze_or_merge():

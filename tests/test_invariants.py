@@ -3,14 +3,14 @@ import pytest
 
 from reggio.command import TandemRunner, Verdict
 from reggio.fuzz import GenConfig, generate
-from reggio.invariants import (ConfigGraph, ContextStack, GraphError, Heap,
-                               Ref, RegionOrder, Root, Temp, build_graph,
-                               capability_ok, check_config_wf,
-                               check_effect_wf, frame_entries,
-                               region_order_of, topology_ok,
+from reggio.invariants import (ConfigGraph, ContextStack, Fragments,
+                               GraphError, Heap, Ref, RegionOrder, Root,
+                               Temp, build_graph, capability_ok,
+                               check_config_wf, check_effect_wf,
+                               frame_entries, region_order_of, topology_ok,
                                topology_pair_ok)
-from reggio.machine import (CLOSED, Bind, Frame, Halloc, Load, Machine,
-                            Object, Region, V_UNDEF)
+from reggio.machine import (CLOSED, FROZEN, KNOWN_BUGS, Bind, Frame, Halloc,
+                            Load, Machine, Object, Region, V_UNDEF)
 from reggio.model import Cap, ClassTable
 from reggio.syntax import Use, parse_program, parse_type
 from reggio.typecheck import check_program
@@ -347,3 +347,63 @@ def test_violation_report_same_under_every_hash_seed():
     assert outs[0].startswith("violation ")
     assert '"topology_ok"' in outs[0]
     assert outs[0] == outs[1]
+
+
+# -- topology_ok against the pairwise definition ----------------------------------
+
+class _PairwiseTopology(Fragments):
+    """Each-step state that also compares, on every configuration the run
+    checks, the regions topology_ok reports with the destination regions
+    of the ref pairs topology_pair_ok rejects."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.configs = 0
+        self.broken = 0
+        self.mismatches: list[tuple[set[int], set[int]]] = []
+
+    def passes(self, gammas, m) -> bool:
+        try:
+            g = build_graph(m)
+        except GraphError:
+            g = None
+        if g is not None:
+            rho = region_order_of(m)
+            fr = {r for r, region in m.regions.items()
+                  if region.state == FROZEN}
+            _, violations = topology_ok(rho, fr, g)
+            grouped = {r for v in violations for r in v["regions"]}
+            pairwise = {r1.dst.r for r1 in g.refs for r2 in g.refs
+                        if not topology_pair_ok(rho, fr, r1, r2)}
+            if grouped != pairwise:
+                self.mismatches.append((grouped, pairwise))
+            self.configs += 1
+            self.broken += bool(pairwise)
+        return super().passes(gammas, m)
+
+
+def test_topology_ok_matches_pairwise_definition():
+    """topology_ok groups refs by destination region; on every
+    configuration of each-step runs it finds the regions the quadratic
+    pairwise definition finds: campaign seeds 0-49, and for each planted
+    bug the first seed whose run it makes a violation."""
+    runs = [(None, s) for s in range(50)]
+    for bug in sorted(KNOWN_BUGS):
+        seed = next(s for s in range(200) if TandemRunner(
+            generate(GenConfig(seed=s, max_depth=8)), check="each-step",
+            budget=2000, bugs=frozenset({bug})).run().verdict
+            is Verdict.VIOLATION)
+        runs.append((bug, seed))
+    configs = broken = 0
+    for bug, seed in runs:
+        runner = TandemRunner(generate(GenConfig(seed=seed, max_depth=8)),
+                              check="each-step", budget=2000,
+                              bugs=frozenset() if bug is None
+                              else frozenset({bug}))
+        runner.fragments = state = _PairwiseTopology()
+        runner.run()
+        assert not state.mismatches, (bug, seed, state.mismatches[:3])
+        configs += state.configs
+        broken += state.broken
+    assert configs > len(runs)
+    assert broken > 0  # some configuration breaks the rule
