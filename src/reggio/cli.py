@@ -9,7 +9,7 @@ Subcommands:
 Exit codes: 0 done; 1 type error; 2 failed (badenter); 3 stuck or invariant
 violation; 4 budget exhausted; 5 internal error (a defect of reggio,
 reported in one line); 10 I/O error or a bad option value: an unknown
---bugs name, or fuzz --seeds below 0 or --depth below 1.
+--bugs name, --budget below 1, or fuzz --seeds below 0 or --depth below 1.
 """
 from __future__ import annotations
 
@@ -88,12 +88,25 @@ def _parse_bugs(arg: str) -> frozenset[str]:
     return bugs
 
 
-def cmd_run(args) -> int:
+def _at_least(*options: tuple[str, int, int]) -> None:
+    """Reject an option value below its least, before any work starts."""
+    for opt, value, least in options:
+        if value < least:
+            print(f"{opt} must be at least {least}, got {value}",
+                  file=sys.stderr)
+            raise SystemExit(EXIT_IO)
+
+
+def _runner(args, observer=None) -> TandemRunner:
+    """The runner of run and trace over a program that type checks."""
+    _at_least(("--budget", args.budget, 1))
     prog, _ = _check(args.file)
-    runner = TandemRunner(prog, check=args.invariant_check,
-                          budget=args.budget,
-                          bugs=_parse_bugs(args.bugs))
-    result = runner.run()
+    return TandemRunner(prog, check=args.invariant_check, budget=args.budget,
+                        bugs=_parse_bugs(args.bugs), observer=observer)
+
+
+def cmd_run(args) -> int:
+    result = _runner(args).run()
     if result.verdict is Verdict.DONE:
         print(f"Done in {result.steps} steps")
     else:
@@ -105,8 +118,6 @@ def cmd_run(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    prog, _ = _check(args.file)
-
     def observer(step, eff, verdict_ok) -> None:
         m = runner.machine
         states = [region.state for region in m.regions.values()]
@@ -123,9 +134,7 @@ def cmd_trace(args) -> int:
             record["verdict"] = "ok" if verdict_ok else "violation"
         print(json.dumps(record))
 
-    runner = TandemRunner(prog, check=args.invariant_check,
-                          budget=args.budget,
-                          bugs=_parse_bugs(args.bugs), observer=observer)
+    runner = _runner(args, observer)
     result = runner.run()
     if result.verdict is not Verdict.DONE:
         print(f"{result.verdict.value} after {result.steps} steps: "
@@ -135,12 +144,8 @@ def cmd_trace(args) -> int:
 
 def cmd_fuzz(args) -> int:
     from .fuzz import GenConfig, campaign
-    for opt, value, least in (("--seeds", args.seeds, 0),
-                              ("--depth", args.depth, 1)):
-        if value < least:
-            print(f"{opt} must be at least {least}, got {value}",
-                  file=sys.stderr)
-            raise SystemExit(EXIT_IO)
+    _at_least(("--seeds", args.seeds, 0), ("--depth", args.depth, 1),
+              ("--budget", args.budget, 1))
     cfg = GenConfig(seed=args.seed, max_depth=args.depth)
     result = campaign(n=args.seeds, cfg=cfg, budget=args.budget,
                       bugs=_parse_bugs(args.bugs))

@@ -11,7 +11,7 @@ vs nocast) the driver asks the region machine which branch is enabled.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
 
@@ -46,6 +46,15 @@ class FreshNames:
 # Renaming through an environment (source name -> runtime name)
 # ---------------------------------------------------------------------------
 
+def replace(node, **changes):
+    """dataclasses.replace for a frozen syntax node: a copy of its fields
+    with changes applied, without inspecting the class on every call.  No
+    syntax class has a __post_init__ or an init-only field."""
+    new = object.__new__(type(node))
+    new.__dict__.update(node.__dict__, **changes)
+    return new
+
+
 def rename_use(u: Use, env: dict[str, str]) -> Use:
     if u.name in env:
         return replace(u, name=env[u.name])
@@ -60,17 +69,18 @@ def rename_lval(lv: LVal, env: dict[str, str]) -> LVal:
 
 def rename(b: Expr, env: dict[str, str]) -> Expr:
     """A binder-free binding with its names renamed per env."""
-    if isinstance(b, Use):
+    kind = type(b)  # no syntax class has a subclass
+    if kind is Use:
         return rename_use(b, env)
-    if isinstance(b, Deref):
+    if kind is New:
+        return replace(b, args=tuple(rename_use(u, env) for u in b.args))
+    if kind is Deref:
         return replace(b, target=rename_lval(b.target, env))
-    if isinstance(b, Assign):
+    if kind is Assign:
         return replace(b, target=rename_lval(b.target, env),
                        use=rename_use(b.use, env))
-    if isinstance(b, (VarAlloc, Freeze, Merge)):
+    if kind is VarAlloc or kind is Freeze or kind is Merge:
         return replace(b, use=rename_use(b.use, env))
-    if isinstance(b, New):
-        return replace(b, args=tuple(rename_use(u, env) for u in b.args))
     raise AssertionError(f"unhandled node {b!r}")
 
 
@@ -168,22 +178,23 @@ def desugar_program(prog: Program) -> Program:
 
 def synth_effect(x: str, b: Expr) -> Effect:
     """The 11-row effect table for simple bound expressions."""
-    if isinstance(b, Deref):
-        return Load(x, b.target.name, b.target.field)
-    if isinstance(b, Assign):
-        return Swap(x, b.target.name, b.target.field, b.use)
-    if isinstance(b, New):
+    kind = type(b)
+    if kind is Use:
+        return Bind(((x, b),))
+    if kind is New:
         if b.cap is Cap.TMP:
             return Salloc(x, Cap.TMP, b.cls, b.args)
         return Halloc(x, b.cap, b.cls, b.args)
-    if isinstance(b, VarAlloc):
+    if kind is Deref:
+        return Load(x, b.target.name, b.target.field)
+    if kind is Assign:
+        return Swap(x, b.target.name, b.target.field, b.use)
+    if kind is VarAlloc:
         return Salloc(x, Cap.VAR, "Cell", (b.use,))
-    if isinstance(b, Freeze):
+    if kind is Freeze:
         return FreezeEff(x, b.use)
-    if isinstance(b, Merge):
+    if kind is Merge:
         return MergeEff(x, b.use)
-    if isinstance(b, Use):
-        return Bind(((x, b),))
     raise AssertionError(f"no effect row for {b!r}")
 
 
@@ -248,27 +259,29 @@ class TandemRunner:
         names, stack = self.names, self.stack
         while True:
             c = self.control
-            if isinstance(c, Let):
+            kind = type(c)
+            if kind is Let:
                 if stack and type(stack[-1]) is LetFrame:
                     names.fresh(c.name)
                 b = c.binding
-                if isinstance(b, (Let, TypeTest)):
+                kind = type(b)
+                if kind is Let or kind is TypeTest:
                     stack.append(LetFrame(c.name, c.body, dict(self.env)))
                     self.control = b
                     continue
-                if isinstance(b, Call):
+                if kind is Call:
                     return self._step_call(c, b)
-                if isinstance(b, Enter):
+                if kind is Enter:
                     return self._step_enter(c, b)
                 x2 = names.fresh(c.name)
                 eff = synth_effect(x2, rename(b, self.env))
                 self.env[c.name] = x2
                 self.control = c.body
                 return eff
-            if isinstance(c, TypeTest):
-                return self._step_typetest(c)
-            if isinstance(c, Use):
+            if kind is Use:
                 return self._step_return(c)
+            if kind is TypeTest:
+                return self._step_typetest(c)
             if c is FAILURE:
                 # One Eps step collapses each entered frame.
                 stack.pop()

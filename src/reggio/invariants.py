@@ -409,6 +409,8 @@ class ContextStack:
 def _tag_matches(obj_tag: str, t: Type, cap: Cap) -> bool:
     """Tag-subtyping: some leaf of t has the value's capability and a head
     matching the dynamic tag."""
+    if type(t) is CapType:  # one leaf: no walk
+        return t.cap is cap and tag_matches(obj_tag, t.head)
     for leaf in leaves(t):
         if leaf.cap is cap and tag_matches(obj_tag, leaf.head):
             return True
@@ -553,6 +555,7 @@ class Fragments:
         self.into: dict[int, set[tuple[str, int]]] = {}
         self.rho = RegionOrder([])
         self.frames: list[Frame] = []
+        self.frame_of: dict[int, Frame] = {}  # region -> its frame
         self.gammas: list[Gamma] = []
 
     def passes(self, gammas: Optional[ContextStack], m: Machine) -> bool:
@@ -562,18 +565,22 @@ class Fragments:
         frames, regions = m.frames, m.regions
         if gammas is None or len(gammas.frames) != len(frames):
             return False
-        ids = self.ids
-        changed: set[int] = set()
-        status = {r: region.state for r, region in regions.items()}
-        old = self.status
-        if status != old:
-            changed = {r for r, _ in status.items() ^ old.items()}
-            for r in changed:
-                if r in old:
-                    ids[old[r]].discard(r)
-                if r in status:
-                    ids[status[r]].add(r)
-            self.status = status
+        # The regions whose state changed or that left the table (merge).
+        status, ids = self.status, self.ids
+        changed: list[int] = []
+        for r, region in regions.items():
+            s = region.state
+            old = status.get(r)
+            if old != s:
+                changed.append(r)
+                if old is not None:
+                    ids[old].discard(r)
+                ids[s].add(r)
+                status[r] = s
+        if len(status) > len(regions):
+            for r in [r for r in status if r not in regions]:
+                changed.append(r)
+                ids[status.pop(r)].discard(r)
         prev = self.frames
         n = 0  # the frames kept since the last check
         for a, b in zip(prev, frames):
@@ -588,29 +595,26 @@ class Fragments:
                 return False  # also rules out two roots for one region
             if moved:
                 self.rho = RegionOrder(stack[::-1])
+                self.frame_of = {f.r: f for f in frames}
         touched = self._touched(frames, n, changed)
         if touched is None:
             return False
-        frame_of = {f.r: f for f in frames}
-
-        def store_of(key):
-            kind, r = key
-            if kind == "frame":
-                return frame_of[r].temps if r in frame_of else None
-            return regions[r].store if r in regions else None
-
         # Take the touched fragments out of the summaries and index their
         # objects where they are now.
         frags, where, objects = self.frags, self.where, self.objects
+        frame_of = self.frame_of
         stores = {}
         for key in touched:
-            store = store_of(key)
             frag = self._drop(key)
             if frag is not None:
                 for iota in frag.objs:
                     del where[iota], objects[iota]
-            if store is not None:
-                stores[key] = store
+            kind, r = key
+            if kind == "frame":
+                if r in frame_of:
+                    stores[key] = frame_of[r].temps
+            elif r in regions:
+                stores[key] = regions[r].store
         recheck: dict[tuple[str, int], tuple[int, ...]] = {}
         for key, store in stores.items():
             _add_objects(where, store,
@@ -619,11 +623,12 @@ class Fragments:
             recheck[key] = tuple(store)
         # Objects leave a fragment only with a region that changes state
         # or leaves the table: refs into such a region are checked again.
-        into = [key for r in changed for key in self.into.get(r, ())]
-        for key in into:
-            frag = self._drop(key)
-            if frag is not None:
-                recheck[key] = frag.objs
+        if changed:
+            into = [key for r in changed for key in self.into.get(r, ())]
+            for key in into:
+                frag = self._drop(key)
+                if frag is not None:
+                    recheck[key] = frag.objs
         rho = self.rho
         cl, fr = ids[CLOSED], ids[FROZEN]
         external = self.external
@@ -645,24 +650,27 @@ class Fragments:
             # Only the totals this fragment added to can exceed one.
             if any(external[rd] > 1 for rd in frag.external):
                 return False
-        # var_unique across frames: a paused ref into a var target of a
-        # lower frame is a second ref into it.
-        for f in frames:
-            for dst in frags[("frame", f.r)].paused_temps:
-                if dst in frags[("frame", dst.r)].var_targets:
+        if len(frames) > 1:
+            # var_unique across frames: a paused ref into a var target of
+            # a lower frame is a second ref into it.
+            for f in frames:
+                for dst in frags[("frame", f.r)].paused_temps:
+                    if dst in frags[("frame", dst.r)].var_targets:
+                        return False
+            # Entry-point chains that run through a fragment checked again.
+            # A frame is pushed onto the top frame, which is always checked
+            # again.
+            for below, above in zip(frames, frames[1:]):
+                if above.entry is None:
+                    continue
+                iota_y, f = above.entry
+                loc_y = where.get(iota_y)
+                if loc_y is None:
                     return False
-        # Entry-point chains that run through a fragment checked again.  A
-        # frame is pushed onto the top frame, which is always checked again.
-        for below, above in zip(frames, frames[1:]):
-            if above.entry is None:
-                continue
-            iota_y, f = above.entry
-            loc_y = where.get(iota_y)
-            if loc_y is None:
-                return False
-            if (("frame", below.r) in recheck
-                    or _fragment_of(loc_y) in recheck):
-                if not _chain_ok(self._out_refs, loc_y, below.r, f, above.r):
+                if ((("frame", below.r) in recheck
+                     or _fragment_of(loc_y) in recheck)
+                        and not _chain_ok(self._out_refs, loc_y, below.r, f,
+                                          above.r)):
                     return False
         # Frame typing, for the frames checked again or given a new context.
         old_gammas = self.gammas
@@ -710,17 +718,21 @@ class Fragments:
             else:
                 keys.add(key)
 
-    def _touched(self, frames: list[Frame], n: int, changed: set[int]
+    def _touched(self, frames: list[Frame], n: int, changed: list[int]
                  ) -> Optional[set[tuple[str, int]]]:
         """The fragments a step touched, where the first n frames are
         the last check's; None if the effect writes an object the
         summaries do not know."""
         prev = self.frames
-        touched = {("frame", f.r) for f in prev[n:] + frames[n:]}
-        touched.update(("store", r) for r in changed)
-        touched.add(("frame", frames[-1].r))
+        touched = {("frame", frames[-1].r)}
         if prev:
             touched.add(("frame", prev[-1].r))
+        for f in prev[n:]:
+            touched.add(("frame", f.r))
+        for f in frames[n:]:
+            touched.add(("frame", f.r))
+        for r in changed:
+            touched.add(("store", r))
         eff = self.effect
         kind = type(eff)
         if kind is Swap or kind is ExitEff:

@@ -217,6 +217,7 @@ class Machine:
         self._next_region = 1
         self.frames: list[Frame] = [Frame(r=0)]
         self.regions: dict[int, Region] = {0: Region(OPEN, {})}
+        self._field_names: dict[str, list[str]] = {}  # class -> its fields
 
     # -- helpers ---------------------------------------------------------------
 
@@ -281,7 +282,10 @@ class Machine:
         return None
 
     def _fields_for(self, cls: str, vals: list[Value]) -> dict[str, Value]:
-        names = [f for f, _ in self.classes.ftypes(ClassName(cls))]
+        names = self._field_names.get(cls)
+        if names is None:
+            names = self._field_names[cls] = [
+                f for f, _ in self.classes.ftypes(ClassName(cls))]
         if len(names) != len(vals):
             raise Stuck(f"halloc: arity mismatch for {cls}")
         return dict(zip(names, vals))

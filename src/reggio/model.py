@@ -24,7 +24,6 @@ class Cap(str, Enum):
 
 
 OPEN_CAPS = frozenset({Cap.MUT, Cap.TMP, Cap.VAR, Cap.PAUSED})
-ALL_CAPS = tuple(Cap)
 
 
 def is_open(k: Cap) -> bool:
@@ -171,11 +170,15 @@ def vpa_type(outer: Cap, t: Type) -> Optional[Type]:
 
 def cap_in(ks: frozenset[Cap] | set[Cap], t: Type) -> bool:
     """cap(k̄, t): every leaf capability of t is in ks (Cell params ignored)."""
+    if type(t) is CapType:  # one leaf: no walk
+        return t.cap in ks
     return all(leaf.cap in ks for leaf in leaves(t))
 
 
 def cap_not_in(ks: frozenset[Cap] | set[Cap], t: Type) -> bool:
     """cap(k̄ᶜ, t): no leaf capability of t is in ks."""
+    if type(t) is CapType:
+        return t.cap not in ks
     return all(leaf.cap not in ks for leaf in leaves(t))
 
 

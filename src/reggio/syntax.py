@@ -341,10 +341,6 @@ def lex(src: str) -> Iterator[Token]:
     yield Token("eof", "", (line, col))
 
 
-def tokenize(src: str) -> list[Token]:
-    return list(lex(src))
-
-
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from reggio.fuzz import GenConfig, campaign
 from reggio.invariants import (Heap, Ref, RegionOrder, Root, Temp,
                                capability_ok, topology_ok, ConfigGraph)
 from reggio.machine import CLOSED, FROZEN, KNOWN_BUGS, Machine
-from reggio.model import ALL_CAPS as CAPS, Cap, vpa
+from reggio.model import Cap, vpa
 from reggio.syntax import parse_program
 from reggio.typecheck import TypeCheckError, check_program
 
@@ -17,6 +17,7 @@ from cli_harness import run_cli as _cli
 ROOT = Path(__file__).parent.parent
 CORPUS = ROOT / "corpus"
 GOLDEN = Path(__file__).parent / "golden"
+CAPS = tuple(Cap)
 
 from test_core import HAND_TABLE  # the independently transcribed table
 

@@ -125,13 +125,24 @@ def test_fuzz_smoke(tmp_path):
     assert "0 stuck, 0 violations" in p.stdout
 
 
-@pytest.mark.parametrize("option", [("--depth", "0"), ("--seeds", "-3")])
+@pytest.mark.parametrize("option", [("--depth", "0"), ("--seeds", "-3"),
+                                    ("--budget", "0"), ("--budget", "-1")])
 def test_fuzz_bad_option_value_exit_10(option):
     """A bad option value is a user error, reported before any run."""
     p = _cli("fuzz", *option)
     assert p.returncode == 10
     assert p.stdout == ""
     assert p.stderr.startswith(option[0]) and p.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("cmd", ["run", "trace"])
+@pytest.mark.parametrize("budget", ["0", "-1"])
+def test_run_bad_budget_exit_10(cmd, budget):
+    """A budget below 1 runs nothing: rejected before the file is read."""
+    p = _cli(cmd, "corpus/no_such_file.rgo", "--budget", budget)
+    assert p.returncode == 10
+    assert p.stdout == ""
+    assert p.stderr == f"--budget must be at least 1, got {budget}\n"
 
 
 def test_fuzz_buggy_machine_writes_reproducer(tmp_path):

@@ -1,10 +1,11 @@
 """Command machine: effect synthesis, explore desugaring, tandem verdicts."""
+import dataclasses
 from pathlib import Path
 
 import pytest
 
 from reggio.command import (TandemRunner, Verdict, desugar_explore,
-                            desugar_program, synth_effect)
+                            desugar_program, replace, synth_effect)
 from reggio.machine import (Bind, FreezeEff, Halloc, Load, MergeEff, Salloc,
                             Swap)
 from reggio.model import Cap
@@ -53,6 +54,34 @@ def test_synth_var_freeze_merge_use():
 def test_synth_rejects_compound():
     with pytest.raises(AssertionError):
         synth_effect("x", Let("y", New(Cap.MUT, "C", ()), Use("y")))
+
+
+# -- node rebuilds ------------------------------------------------------------
+
+@pytest.mark.parametrize("node, changes", [
+    (Use("u", True, (1, 2)), {"name": "u$1"}),
+    (LVal("y", "f", (1, 2)), {"name": "y$1"}),
+    (Deref(LVal("y"), (3, 4)), {"target": LVal("y$1")}),
+    (Assign(LVal("y", "f"), Use("u")),
+     {"target": LVal("y$1", "f"), "use": Use("u$2")}),
+    (VarAlloc(Use("u", True)), {"use": Use("u$1", True)}),
+    (Freeze(Use("u", True)), {"use": Use("u$1", True)}),
+    (Merge(Use("u", True)), {"use": Use("u$1", True)}),
+    (New(Cap.ISO, "C", (Use("a"), Use("b", True))),
+     {"args": (Use("a$1"), Use("b$2", True))}),
+], ids=["Use", "LVal", "Deref", "Assign", "VarAlloc", "Freeze", "Merge",
+        "New"])
+def test_replace_matches_dataclasses_replace(node, changes):
+    """Every class rename rebuilds: the same node dataclasses.replace
+    gives, still frozen, and the original unchanged."""
+    original = dataclasses.replace(node)
+    got = replace(node, **changes)
+    want = dataclasses.replace(node, **changes)
+    assert type(got) is type(want)
+    assert got == want and hash(got) == hash(want) and got != node
+    assert node == original and hash(node) == hash(original)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        got.pos = (0, 0)
 
 
 # -- explore desugaring --------------------------------------------------------

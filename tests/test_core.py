@@ -105,6 +105,23 @@ def test_cap_predicates():
     assert not cap_not_in({Cap.IMM}, _t("mut C | imm C"))
 
 
+# Every capability over a class head and a Cell head, as a lone leaf and
+# in a two-leaf union with each leaf.
+LEAVES = [CapType(k, h) for k in Cap
+          for h in (ClassName("C"), CellHead(CapType(Cap.MUT, ClassName("C"))))]
+LEAF_AND_UNION_TYPES = LEAVES + [UnionType(a, b) for a in LEAVES
+                                 for b in LEAVES]
+
+
+def test_cap_predicates_match_leafwise_definition():
+    for ks in [frozenset(), OPEN_CAPS, frozenset(Cap)] + [{k} for k in Cap]:
+        for t in LEAF_AND_UNION_TYPES:
+            assert cap_in(ks, t) == all(
+                leaf.cap in ks for leaf in leaves(t)), (ks, t)
+            assert cap_not_in(ks, t) == all(
+                leaf.cap not in ks for leaf in leaves(t)), (ks, t)
+
+
 def test_make_helpers():
     assert make_iso(_t("mut C | imm C")) == _t("iso C | imm C")
     assert make_mut(_t("iso C | imm C")) == _t("mut C | imm C")

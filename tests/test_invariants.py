@@ -5,15 +5,17 @@ from reggio.command import TandemRunner, Verdict
 from reggio.fuzz import GenConfig, generate
 from reggio.invariants import (ConfigGraph, ContextStack, Fragments,
                                GraphError, Heap, Ref, RegionOrder, Root,
-                               Temp, build_graph, capability_ok,
-                               check_config_wf, check_effect_wf,
-                               frame_entries, region_order_of, topology_ok,
-                               topology_pair_ok)
+                               Temp, _tag_matches, build_graph,
+                               capability_ok, check_config_wf,
+                               check_effect_wf, frame_entries,
+                               region_order_of, topology_ok, topology_pair_ok)
 from reggio.machine import (CLOSED, FROZEN, KNOWN_BUGS, Bind, Frame, Halloc,
                             Load, Machine, Object, Region, V_UNDEF)
-from reggio.model import Cap, ClassTable
+from reggio.model import Cap, ClassTable, leaves, tag_matches
 from reggio.syntax import Use, parse_program, parse_type
 from reggio.typecheck import check_program
+
+from test_core import LEAF_AND_UNION_TYPES
 
 
 def _classes() -> ClassTable:
@@ -407,3 +409,16 @@ def test_topology_ok_matches_pairwise_definition():
         broken += state.broken
     assert configs > len(runs)
     assert broken > 0  # some configuration breaks the rule
+
+
+def test_tag_matches_matches_leafwise_definition():
+    """Some leaf has the value's capability and a head matching its tag."""
+    outcomes = set()
+    for t in LEAF_AND_UNION_TYPES:
+        for cap in Cap:
+            for tag in ("C", "D", "Cell"):
+                want = any(leaf.cap is cap and tag_matches(tag, leaf.head)
+                           for leaf in leaves(t))
+                assert _tag_matches(tag, t, cap) == want, (tag, t, cap)
+                outcomes.add(want)
+    assert outcomes == {True, False}

@@ -202,3 +202,20 @@ def test_effect_renderers():
     eff = Halloc("x", Cap.MUT, "C", (Use("y"),))
     assert effect_name(eff) == "halloc"
     assert effect_args(eff) == ["x", "mut", "#C", "y"]
+
+
+def test_fields_for_keeps_field_order_and_arity_text():
+    """The field names come in declaration order, from the first call on,
+    and a wrong arity is Stuck with the same text before and after."""
+    t = ClassTable()
+    t.declare("C", [])
+    t.declare("Q", [("b", parse_type("imm C")), ("a", parse_type("mut C"))])
+    m = Machine(t)
+    vals = [(Cap.IMM, 1), (Cap.MUT, 2)]
+    for _ in range(2):
+        with pytest.raises(Stuck) as exc:
+            m._fields_for("Q", vals[:1])
+        assert str(exc.value) == "halloc: arity mismatch for Q"
+        fields = m._fields_for("Q", vals)
+        assert list(fields.items()) == [("b", vals[0]), ("a", vals[1])]
+    assert m._fields_for("C", []) == {}

@@ -3,13 +3,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from reggio.fuzz import GenConfig, generate
-from reggio.syntax import (Enter, Let, New, ParseError, Use, parse_expr,
-                           parse_program, parse_type, pretty_expr,
-                           pretty_program, pretty_type, tokenize)
+from reggio.syntax import (Enter, Let, New, ParseError, Use, lex,
+                           parse_expr, parse_program, parse_type,
+                           pretty_expr, pretty_program, pretty_type)
 
 
 def test_tokenize_comments_and_positions():
-    toks = tokenize("let x = // hi\n  y")
+    toks = list(lex("let x = // hi\n  y"))
     assert [t.text for t in toks[:-1]] == ["let", "x", "=", "y"]
     assert toks[3].pos == (2, 3)
 
