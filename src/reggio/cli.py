@@ -19,7 +19,7 @@ import sys
 from typing import NoReturn
 
 from .command import TandemRunner, Verdict
-from .machine import (CLOSED, FROZEN, KNOWN_BUGS, OPEN, effect_args,
+from .machine import (CLOSED, FROZEN, OPEN, check_bugs, effect_args,
                       effect_name)
 from .syntax import ParseError, parse_program, pretty_type
 from .typecheck import TypeCheckError, check_program
@@ -80,12 +80,11 @@ def cmd_check(args) -> int:
 def _parse_bugs(arg: str) -> frozenset[str]:
     if not arg:
         return frozenset()
-    bugs = frozenset(arg.split(","))
-    unknown = bugs - KNOWN_BUGS
-    if unknown:
-        print(f"unknown bug switches: {sorted(unknown)}", file=sys.stderr)
+    try:
+        return check_bugs(frozenset(arg.split(",")))
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
         raise SystemExit(EXIT_IO)
-    return bugs
 
 
 def _at_least(*options: tuple[str, int, int]) -> None:

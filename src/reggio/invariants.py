@@ -1,6 +1,9 @@
 """Verification oracle: configuration graphs, capability and topology
 invariants, configuration well-formedness, and effect well-formedness.
 
+Effect well-formedness evolves the typing contexts by the checker's own
+rules (typecheck.Checker), so the two cannot drift apart.
+
 The oracle is deliberately brute force: the graph is rebuilt from scratch
 and the topology predicate is checked pairwise.  It is the executable
 spec; each-step runs first try a fast path (Fragments) that re-checks only
@@ -16,16 +19,14 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional
 
-from .model import (Cap, CapType, CellHead, ClassName, ClassTable,
-                    FunctionTable, Type, UnionType, cap_in, cap_not_in,
-                    fresult, leaves, make_cell, make_imm, make_iso, make_mut,
-                    subtype, tag_matches, vpa_type)
+from .model import (Cap, CapType, CellHead, ClassTable, FunctionTable, Type,
+                    cap_in, fresult, leaves, make_cell, make_iso, tag_matches)
 from .machine import (CLOSED, FROZEN, OPEN, STATES, BadEnter, Bind, CastEff,
                       Effect, EnterEff, Eps, ExitEff, Frame, FreezeEff,
                       Halloc, Load, Machine, MergeEff, NoCastEff, Object,
                       Salloc, Store, Swap, V_UNDEF)
-from .typecheck import (UNDEF, Checker, Gamma, TypeCheckError,
-                        fresult_keep_iso)
+from .syntax import Assign, Deref, Freeze, LVal, Merge, New, VarAlloc
+from .typecheck import UNDEF, Checker, Gamma, TypeCheckError
 
 
 # ---------------------------------------------------------------------------
@@ -796,20 +797,10 @@ def _check_frame_typing(gamma: Gamma, frame, objects: dict[int, Object],
 # Effect well-formedness (wf-eff-*)
 # ---------------------------------------------------------------------------
 
-def _consume(checker: Checker, gamma: Gamma, u) -> Optional[Type]:
-    """The type of u; a drop buries u in gamma itself, which must be the
-    checker's _owned context."""
-    try:
-        t, _ = checker.check_use(gamma, u)
-    except TypeCheckError:
-        return None
-    return t
-
-
 @lru_cache(maxsize=1)
 def _checker(classes: ClassTable) -> Checker:
-    """The checker whose check_use types an effect's uses: one for a run's
-    class table, not one per step."""
+    """The checker whose rules type a run's effects: one for a run's class
+    table, not one per step."""
     return Checker(classes, FunctionTable())
 
 
@@ -817,160 +808,74 @@ def check_effect_wf(gammas: ContextStack, eff: Effect,
                     classes: ClassTable) -> Optional[ContextStack]:
     """Evolve the context stack by one effect; None if any premise fails.
 
-    The result shares every context but the top one with gammas, which is
-    left unchanged."""
+    Each effect is typed by the checker's rule for the let binding it
+    stands for; a failed premise is the checker's TypeCheckError.  The
+    result shares every context but the top one with gammas, which is left
+    unchanged."""
     out = gammas.copy_top()
     checker = _checker(classes)
+    # Drops bury variables in the copied top context itself.
     gamma = checker._owned = out.top
-    if isinstance(eff, Eps):
-        return out
-    if isinstance(eff, Bind):
-        for x, u in eff.pairs:
-            t = _consume(checker, gamma, u)
-            if t is None:
-                return None
-            gamma[x] = t
-        return out
-    if isinstance(eff, Load):
-        t_y = gamma.get(eff.y)
-        if t_y is None or t_y is UNDEF or not cap_not_in({Cap.ISO}, t_y):
-            return None
-        t = fresult(t_y, eff.f, classes)
-        if t is None:
-            return None
-        gamma[eff.x] = t
-        return out
-    if isinstance(eff, Swap):
-        return _wf_swap(checker, out, gamma, eff, classes)
-    if isinstance(eff, Halloc):
-        ftypes = classes.ftypes(ClassName(eff.cls))
-        ts = []
-        for u in eff.uses:
-            t = _consume(checker, gamma, u)
-            if t is None:
-                return None
-            ts.append(t)
-        for (fname, ftype), t in zip(ftypes, ts):
-            if not subtype(t, ftype):
-                return None
-            if eff.cap is Cap.ISO and not cap_in({Cap.ISO, Cap.IMM}, t):
-                return None
-        gamma[eff.x] = CapType(eff.cap, ClassName(eff.cls))
-        return out
-    if isinstance(eff, Salloc):
-        if eff.cap not in (Cap.TMP, Cap.VAR):
-            return None
-        if eff.cls == "Cell":
-            if len(eff.uses) != 1:
-                return None
-            t = _consume(checker, gamma, eff.uses[0])
-            if t is None or not cap_not_in({Cap.VAR}, t):
-                return None
-            gamma[eff.x] = CapType(eff.cap, CellHead(t))
+    kind = type(eff)
+    try:
+        if kind is Bind:
+            for x, u in eff.pairs:
+                gamma[x], _ = checker.check_use(gamma, u)
             return out
-        ftypes = classes.ftypes(ClassName(eff.cls))
-        for (fname, ftype), u in zip(ftypes, eff.uses):
-            t = _consume(checker, gamma, u)
-            if t is None or not subtype(t, ftype):
-                return None
-        gamma[eff.x] = CapType(eff.cap, ClassName(eff.cls))
-        return out
-    if isinstance(eff, EnterEff):
-        return _wf_enter(checker, out, gamma, eff, classes)
-    if isinstance(eff, BadEnter):
-        return out
-    if isinstance(eff, ExitEff):
-        return _wf_exit(checker, out, eff, classes)
-    if isinstance(eff, FreezeEff):
-        t = _consume(checker, gamma, eff.use)
-        if t is None or not cap_in({Cap.ISO}, t):
-            return None
-        gamma[eff.x] = make_imm(t)
-        return out
-    if isinstance(eff, MergeEff):
-        t = _consume(checker, gamma, eff.use)
-        if t is None or not cap_in({Cap.ISO}, t):
-            return None
-        gamma[eff.x] = make_mut(t)
-        return out
-    if isinstance(eff, (CastEff, NoCastEff)):
-        t = _consume(checker, gamma, eff.use)
-        if t is None:
-            return None
-        gamma[eff.x] = eff.ty if isinstance(eff, CastEff) else t
-        return out
-    return None
-
-
-def _wf_swap(checker: Checker, out: ContextStack, gamma: Gamma, eff: Swap,
-             classes: ClassTable) -> Optional[ContextStack]:
-    t_u = _consume(checker, gamma, eff.use)
-    if t_u is None or not cap_not_in({Cap.VAR}, t_u):
-        return None
-    t_y = gamma.get(eff.y)
-    if t_y is None or t_y is UNDEF:
-        return None
-    if eff.f == "val" and cap_in({Cap.VAR}, t_y):
-        old = fresult(t_y, "val", classes)
-        if old is None:
-            return None
-        gamma[eff.y] = make_cell(t_u)
-        gamma[eff.x] = old
-        return out
-    if not cap_in({Cap.MUT, Cap.TMP}, t_y):
-        return None
-    old = None
-    for leaf in leaves(t_y):
-        ftype = classes.ftype(leaf.head, eff.f)
-        if ftype is None or not subtype(t_u, ftype):
-            return None
-        old = ftype if old is None else UnionType(old, ftype)
-    gamma[eff.x] = old
-    return out
-
-
-def _wf_enter(checker: Checker, out: ContextStack, gamma: Gamma,
-              eff: EnterEff, classes: ClassTable
-              ) -> Optional[ContextStack]:
-    if eff.cap not in (Cap.TMP, Cap.VAR):
-        return None
-    new_gamma: Gamma = {}
-    for z, u in eff.captures:
-        t = _consume(checker, gamma, u)
-        if t is None:
-            return None
-        if cap_in({Cap.ISO}, t):
-            new_gamma[z] = t
+        if kind is Salloc and eff.cap is Cap.VAR and eff.cls == "Cell":
+            t, gamma = checker.check_var_alloc(gamma, VarAlloc(eff.uses[0]))
+        elif kind is Halloc or kind is Salloc:
+            t, gamma = checker.check_new(gamma, New(eff.cap, eff.cls,
+                                                    eff.uses))
+        elif kind is Load:
+            t, gamma = checker.check_deref(gamma, Deref(LVal(eff.y, eff.f)))
+        elif kind is Swap:
+            t_y = gamma.get(eff.y)
+            bare = (eff.f == "val" and t_y is not None and t_y is not UNDEF
+                    and cap_in({Cap.VAR}, t_y))
+            target = LVal(eff.y, None if bare else eff.f)
+            t, gamma = checker.check_assign(gamma, Assign(target, eff.use),
+                                            frozenset())
+        elif kind is FreezeEff:
+            t, gamma = checker.check_freeze(gamma, Freeze(eff.use))
+        elif kind is MergeEff:
+            t, gamma = checker.check_merge(gamma, Merge(eff.use))
+        elif kind is CastEff:
+            _, gamma = checker.check_use(gamma, eff.use)
+            t = eff.ty
+        elif kind is NoCastEff:
+            t, gamma = checker.check_use(gamma, eff.use)
+        elif kind is EnterEff:
+            f = None if eff.cap is Cap.VAR else eff.f
+            out.frames[-1], block = checker.enter_context(
+                gamma, eff.captures, eff.w, eff.y, f, (0, 0))
+            out.frames.append(block)
+            return out
+        elif kind is ExitEff:
+            return _wf_exit(checker, out, eff, classes)
+        elif kind is Eps or kind is BadEnter:
+            return out
         else:
-            adapted = vpa_type(Cap.PAUSED, t)
-            if adapted is None:
-                return None
-            new_gamma[z] = adapted
-    t_y = gamma.get(eff.y)
-    if t_y is None or t_y is UNDEF:
+            return None
+    except TypeCheckError:
         return None
-    if eff.cap is Cap.VAR and not cap_in({Cap.VAR}, t_y):
-        return None
-    if not cap_in({Cap.MUT, Cap.TMP, Cap.VAR, Cap.PAUSED}, t_y):
-        return None
-    t_f = fresult_keep_iso(t_y, eff.f, classes)
-    if t_f is None or not cap_in({Cap.ISO}, t_f):
-        return None
-    if eff.cap is Cap.VAR:
-        new_gamma[eff.w] = make_cell(make_mut(t_f))
-    else:
-        new_gamma[eff.w] = CapType(Cap.TMP, CellHead(make_mut(t_f)))
-    out.frames.append(new_gamma)
+    gamma[eff.x] = t
+    out.frames[-1] = gamma
     return out
 
 
 def _wf_exit(checker: Checker, out: ContextStack, eff: ExitEff,
              classes: ClassTable) -> Optional[ContextStack]:
+    """The block-end premises of cmd-ty-enter and cmd-ty-enter-var, stated
+    here and not shared with the checker: the checker compares the binder
+    with the static type it gave it on entry, which the effect does not
+    carry, so here the binder need only still be a Cell whose content is
+    mut."""
     if len(out.frames) < 2:
         return None
     popped = out.frames.pop()
-    t_ret = _consume(checker, popped, eff.use)
-    if t_ret is None or not cap_in({Cap.ISO, Cap.IMM}, t_ret):
+    t_ret, _ = checker.check_use(popped, eff.use)
+    if not cap_in({Cap.ISO, Cap.IMM}, t_ret):
         return None
     t_w = popped.get(eff.w)
     if t_w is None or t_w is UNDEF:

@@ -33,6 +33,15 @@ KNOWN_BUGS = frozenset({
 })
 
 
+def check_bugs(bugs: frozenset[str]) -> frozenset[str]:
+    """bugs, if each one names a planted bug; else ValueError naming the
+    others."""
+    unknown = bugs - KNOWN_BUGS
+    if unknown:
+        raise ValueError(f"unknown bug switches: {sorted(unknown)}")
+    return bugs
+
+
 class Stuck(Exception):
     """An undefined lookup: unreachable from well-typed programs."""
 
@@ -208,11 +217,8 @@ def effect_args(eff: Effect) -> list[str]:
 class Machine:
     def __init__(self, classes: ClassTable,
                  bugs: frozenset[str] = frozenset()) -> None:
-        unknown = bugs - KNOWN_BUGS
-        if unknown:
-            raise ValueError(f"unknown bug switches: {sorted(unknown)}")
         self.classes = classes
-        self.bugs = bugs
+        self.bugs = check_bugs(bugs)
         self._next_iota = 0
         self._next_region = 1
         self.frames: list[Frame] = [Frame(r=0)]

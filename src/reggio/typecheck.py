@@ -141,27 +141,17 @@ class Checker:
         if isinstance(e, Use):
             return self.check_use(gamma, e)
         if isinstance(e, Deref):
-            return self._check_deref(gamma, e)
+            return self.check_deref(gamma, e)
         if isinstance(e, Assign):
-            return self._check_assign(gamma, e, adjacent)
+            return self.check_assign(gamma, e, adjacent)
         if isinstance(e, VarAlloc):
-            return self._check_var_alloc(gamma, e)
+            return self.check_var_alloc(gamma, e)
         if isinstance(e, New):
-            return self._check_new(gamma, e)
+            return self.check_new(gamma, e)
         if isinstance(e, Freeze):
-            t, g2 = self.check_use(gamma, e.use)
-            if not cap_in({Cap.ISO}, t):
-                _fail("cmd-ty-freeze",
-                      f"freeze demands an iso value, got {pretty_type(t)}",
-                      e.pos)
-            return make_imm(t), g2
+            return self.check_freeze(gamma, e)
         if isinstance(e, Merge):
-            t, g2 = self.check_use(gamma, e.use)
-            if not cap_in({Cap.ISO}, t):
-                _fail("cmd-ty-merge",
-                      f"merge demands an iso value, got {pretty_type(t)}",
-                      e.pos)
-            return make_mut(t), g2
+            return self.check_merge(gamma, e)
         if isinstance(e, Call):
             return self._check_call(gamma, e)
         if isinstance(e, Enter):
@@ -205,7 +195,7 @@ class Checker:
                 del gamma[name]
         return t, gamma
 
-    def _check_deref(self, gamma: Gamma, e: Deref) -> tuple[Type, Gamma]:
+    def check_deref(self, gamma: Gamma, e: Deref) -> tuple[Type, Gamma]:
         x, f = e.target.name, e.target.fld
         if f is None:
             t_x = self.lookup(gamma, x, "cmd-ty-deref-var", e.pos)
@@ -230,8 +220,8 @@ class Checker:
                   "(missing field or inaccessible viewpoint)", e.pos)
         return t, gamma
 
-    def _check_assign(self, gamma: Gamma, e: Assign,
-                      adjacent: frozenset[str]) -> tuple[Type, Gamma]:
+    def check_assign(self, gamma: Gamma, e: Assign,
+                     adjacent: frozenset[str]) -> tuple[Type, Gamma]:
         x, f = e.target.name, e.target.fld
         t_u, g2 = self.check_use(gamma, e.use)
         if not cap_not_in({Cap.VAR}, t_u):
@@ -278,8 +268,8 @@ class Checker:
         g3[x] = make_cell(t_u)
         return t_f, g3
 
-    def _check_var_alloc(self, gamma: Gamma,
-                         e: VarAlloc) -> tuple[Type, Gamma]:
+    def check_var_alloc(self, gamma: Gamma,
+                        e: VarAlloc) -> tuple[Type, Gamma]:
         t_u, g2 = self.check_use(gamma, e.use)
         if not cap_not_in({Cap.VAR}, t_u):
             _fail("cmd-ty-create-var",
@@ -287,7 +277,7 @@ class Checker:
                   f"({pretty_type(t_u)})", e.pos)
         return CapType(Cap.VAR, CellHead(t_u)), g2
 
-    def _check_new(self, gamma: Gamma, e: New) -> tuple[Type, Gamma]:
+    def check_new(self, gamma: Gamma, e: New) -> tuple[Type, Gamma]:
         if e.cls not in self.classes:
             _fail("cmd-ty-new", f"unknown class {e.cls}", e.pos)
         if e.cap not in (Cap.MUT, Cap.TMP, Cap.ISO):
@@ -310,6 +300,22 @@ class Checker:
                       f"{fname} gets {pretty_type(t_a)}", arg.pos)
         return CapType(e.cap, ClassName(e.cls)), gamma
 
+    def check_freeze(self, gamma: Gamma, e: Freeze) -> tuple[Type, Gamma]:
+        t, g2 = self.check_use(gamma, e.use)
+        if not cap_in({Cap.ISO}, t):
+            _fail("cmd-ty-freeze",
+                  f"freeze demands an iso value, got {pretty_type(t)}",
+                  e.pos)
+        return make_imm(t), g2
+
+    def check_merge(self, gamma: Gamma, e: Merge) -> tuple[Type, Gamma]:
+        t, g2 = self.check_use(gamma, e.use)
+        if not cap_in({Cap.ISO}, t):
+            _fail("cmd-ty-merge",
+                  f"merge demands an iso value, got {pretty_type(t)}",
+                  e.pos)
+        return make_mut(t), g2
+
     def _check_call(self, gamma: Gamma, e: Call) -> tuple[Type, Gamma]:
         if e.fn not in self.functions:
             _fail("cmd-ty-call", f"unknown function {e.fn}", e.pos)
@@ -326,13 +332,20 @@ class Checker:
                       f"of {pretty_type(ptype)}", arg.pos)
         return sig.result, gamma
 
-    def _capture_context(self, gamma: Gamma, e: Enter,
-                         rule: str) -> tuple[Gamma, Gamma]:
-        """Thread capture uses; build the suspended body context."""
+    def enter_context(self, gamma: Gamma,
+                      captures: tuple[tuple[str, Use], ...], binder: str,
+                      x: str, f: str | None,
+                      pos: Pos) -> tuple[Gamma, Gamma]:
+        """The entry premises of cmd-ty-enter (target x.f) and
+        cmd-ty-enter-var (target x, f None): thread the capture uses
+        through gamma, check the target, and build the block's context of
+        suspended captures and the binder.  Returns gamma after the
+        captures, and the block's context."""
+        rule = "cmd-ty-enter-var" if f is None else "cmd-ty-enter"
         seen: set[str] = set()
         body_ctx: Gamma = {}
-        for y, u in e.captures:
-            if y in seen or y == e.binder:
+        for y, u in captures:
+            if y in seen or y == binder:
                 _fail(rule, f"duplicate capture name {y}", u.pos)
             seen.add(y)
             t_i, gamma = self.check_use(gamma, u)
@@ -349,35 +362,51 @@ class Checker:
                       f"capture {y}: {pretty_type(t_i)} cannot be suspended "
                       "(viewpoint adaptation undefined)", u.pos)
             body_ctx[y] = adapted
+        if f is None:
+            t_x = self.lookup(gamma, x, "cmd-ty-enter-var", pos)
+            if not cap_in({Cap.VAR}, t_x):
+                _fail("cmd-ty-enter-var",
+                      f"enter target {x}: {pretty_type(t_x)} must be a var "
+                      "binding", pos)
+            t_f = fresult_keep_iso(t_x, "val", self.classes)
+            if t_f is None:
+                _fail("cmd-ty-enter-var",
+                      f"content of {x}: {pretty_type(t_x)} is undefined", pos)
+            if not cap_in({Cap.ISO}, t_f):
+                _fail("cmd-ty-enter-var",
+                      f"cell content capability must be iso, {x} holds "
+                      f"{pretty_type(t_f)}", pos)
+            body_ctx[binder] = make_cell(make_mut(t_f))
+            return gamma, body_ctx
+        t_x = self.lookup(gamma, x, "cmd-ty-enter", pos)
+        if not cap_in(OPEN_CAPS, t_x):
+            _fail("cmd-ty-enter",
+                  f"enter target {x}: {pretty_type(t_x)} must have an open "
+                  "capability (mut, tmp, var, or paused)", pos)
+        t_f = fresult_keep_iso(t_x, f, self.classes)
+        if t_f is None:
+            _fail("cmd-ty-enter",
+                  f"{x}.{f} is undefined through {pretty_type(t_x)}", pos)
+        if not cap_in({Cap.ISO}, t_f):
+            _fail("cmd-ty-enter",
+                  f"field capability must be iso, {x}.{f} is "
+                  f"{pretty_type(t_f)}", pos)
+        body_ctx[binder] = CapType(Cap.TMP, CellHead(make_mut(t_f)))
         return gamma, body_ctx
 
     def _check_enter(self, gamma: Gamma, e: Enter) -> tuple[Type, Gamma]:
         if e.explore:
             from .command import desugar_explore
             return self.check_expr(gamma, desugar_explore(e))
+        gamma, body_ctx = self.enter_context(
+            gamma, e.captures, e.binder, e.target.name, e.target.fld, e.pos)
         if e.target.fld is not None:
-            return self._check_enter_field(gamma, e)
-        return self._check_enter_var(gamma, e)
+            return self._check_enter_field(gamma, body_ctx, e)
+        return self._check_enter_var(gamma, body_ctx, e)
 
-    def _check_enter_field(self, gamma: Gamma,
+    def _check_enter_field(self, gamma: Gamma, body_ctx: Gamma,
                            e: Enter) -> tuple[Type, Gamma]:
-        gamma, body_ctx = self._capture_context(gamma, e, "cmd-ty-enter")
-        x, f = e.target.name, e.target.fld
-        t_x = self.lookup(gamma, x, "cmd-ty-enter", e.pos)
-        if not cap_in(OPEN_CAPS, t_x):
-            _fail("cmd-ty-enter",
-                  f"enter target {x}: {pretty_type(t_x)} must have an open "
-                  "capability (mut, tmp, var, or paused)", e.pos)
-        t_f = fresult_keep_iso(t_x, f, self.classes)
-        if t_f is None:
-            _fail("cmd-ty-enter",
-                  f"{x}.{f} is undefined through {pretty_type(t_x)}", e.pos)
-        if not cap_in({Cap.ISO}, t_f):
-            _fail("cmd-ty-enter",
-                  f"field capability must be iso, {x}.{f} is "
-                  f"{pretty_type(t_f)}", e.pos)
-        t_z = CapType(Cap.TMP, CellHead(make_mut(t_f)))
-        body_ctx[e.binder] = t_z
+        t_z = body_ctx[e.binder]
         t_body, g_out = self.check_expr(body_ctx, e.body)
         if not cap_in({Cap.ISO, Cap.IMM}, t_body):
             _fail("cmd-ty-enter",
@@ -389,25 +418,8 @@ class Checker:
                   "end of the block", e.pos)
         return t_body, gamma
 
-    def _check_enter_var(self, gamma: Gamma,
+    def _check_enter_var(self, gamma: Gamma, body_ctx: Gamma,
                          e: Enter) -> tuple[Type, Gamma]:
-        gamma, body_ctx = self._capture_context(gamma, e, "cmd-ty-enter-var")
-        x = e.target.name
-        t_x = self.lookup(gamma, x, "cmd-ty-enter-var", e.pos)
-        if not cap_in({Cap.VAR}, t_x):
-            _fail("cmd-ty-enter-var",
-                  f"enter target {x}: {pretty_type(t_x)} must be a var "
-                  "binding", e.pos)
-        t_f = fresult_keep_iso(t_x, "val", self.classes)
-        if t_f is None:
-            _fail("cmd-ty-enter-var",
-                  f"content of {x}: {pretty_type(t_x)} is undefined", e.pos)
-        if not cap_in({Cap.ISO}, t_f):
-            _fail("cmd-ty-enter-var",
-                  f"cell content capability must be iso, {x} holds "
-                  f"{pretty_type(t_f)}", e.pos)
-        t_z = make_cell(make_mut(t_f))
-        body_ctx[e.binder] = t_z
         t_body, g_out = self.check_expr(body_ctx, e.body,
                                         adjacent=frozenset({e.binder}))
         if not cap_in({Cap.ISO, Cap.IMM}, t_body):
@@ -425,7 +437,7 @@ class Checker:
                   f"the final content of {e.binder} must be mut, got "
                   f"{pretty_type(new_params)}", e.pos)
         g2 = dict(gamma)
-        g2[x] = make_cell(make_iso(new_params))
+        g2[e.target.name] = make_cell(make_iso(new_params))
         return t_body, g2
 
     def _cell_contents(self, t: Type, e: Enter) -> Type:

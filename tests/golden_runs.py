@@ -7,8 +7,14 @@ at budget 3,000 with no planted bug or one of ``KNOWN_BUGS``, under each
 run for seeds 0-49; ``test_golden_runs.py`` regenerates the lines and
 compares them with the file.
 
-    python tests/golden_runs.py --write    rewrite tests/golden/runs.txt
-    python tests/golden_runs.py --digest   print the sha256 over seeds 0-199
+``tests/golden/effect_wf.digest`` pins effect well-formedness on its own:
+the sha256 over every ``check_effect_wf`` call of the each-step runs with
+no planted bug over seeds 0-49, each the effect and the evolved context
+stack or None.
+
+    python tests/golden_runs.py --write    rewrite both golden files
+    python tests/golden_runs.py --digest   print the sha256 over seeds 0-199,
+                                           pinned in tests/golden/runs.digest
 """
 from __future__ import annotations
 
@@ -20,11 +26,13 @@ from pathlib import Path
 if __name__ == "__main__":
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from reggio import invariants  # noqa: E402
 from reggio.command import TandemRunner  # noqa: E402
 from reggio.fuzz import GenConfig, generate  # noqa: E402
 from reggio.machine import KNOWN_BUGS  # noqa: E402
 
 RUNS_TXT = Path(__file__).parent / "golden" / "runs.txt"
+EFFECT_WF_DIGEST = Path(__file__).parent / "golden" / "effect_wf.digest"
 GOLDEN_SEEDS = range(50)
 DIGEST_SEEDS = range(200)
 BUDGET = 3_000
@@ -67,9 +75,34 @@ def digest(seeds=DIGEST_SEEDS) -> str:
     return h.hexdigest()
 
 
+def effect_wf_digest(seeds=GOLDEN_SEEDS) -> str:
+    """One sha256 over every check_effect_wf call of the each-step runs
+    with no planted bug: the effect, then the evolved stack's contexts as
+    sorted (name, binding) lists, or None."""
+    h = hashlib.sha256()
+    evolve = invariants.check_effect_wf
+
+    def recorded(gammas, eff, classes):
+        out = evolve(gammas, eff, classes)
+        frames = None if out is None else [sorted(g.items())
+                                           for g in out.frames]
+        h.update(repr((eff, frames)).encode())
+        return out
+
+    invariants.check_effect_wf = recorded
+    try:
+        for seed in seeds:
+            prog = generate(GenConfig(seed=seed, max_depth=8))
+            TandemRunner(prog, check="each-step", budget=BUDGET).run()
+    finally:
+        invariants.check_effect_wf = evolve
+    return h.hexdigest()
+
+
 if __name__ == "__main__":
     if sys.argv[1:] == ["--write"]:
         RUNS_TXT.write_text("\n".join(run_lines()) + "\n")
+        EFFECT_WF_DIGEST.write_text(effect_wf_digest() + "\n")
     elif sys.argv[1:] == ["--digest"]:
         print(digest())
     else:

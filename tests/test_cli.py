@@ -85,6 +85,18 @@ def test_run_buggy_machine_violation_exit_3():
 def test_run_unknown_bug_exit_10():
     p = _cli("run", "corpus/listing1.rgo", "--bugs", "bogus")
     assert p.returncode == 10
+    assert p.stdout == ""
+    assert p.stderr == "unknown bug switches: ['bogus']\n"
+
+
+def test_fuzz_unknown_bug_exit_10_before_any_run(tmp_path):
+    out = tmp_path / "repro.rgo"
+    p = _cli("fuzz", "--seeds", "3", "--bugs", "skip-bury,zz,aa",
+             "--reproducer", str(out))
+    assert p.returncode == 10
+    assert p.stdout == ""
+    assert p.stderr == "unknown bug switches: ['aa', 'zz']\n"
+    assert not out.exists()
 
 
 def test_trace_lines_are_json_with_expected_keys():

@@ -9,8 +9,9 @@ from reggio.invariants import (ConfigGraph, ContextStack, Fragments,
                                capability_ok, check_config_wf,
                                check_effect_wf, frame_entries,
                                region_order_of, topology_ok, topology_pair_ok)
-from reggio.machine import (CLOSED, FROZEN, KNOWN_BUGS, Bind, Frame, Halloc,
-                            Load, Machine, Object, Region, V_UNDEF)
+from reggio.machine import (CLOSED, FROZEN, KNOWN_BUGS, Bind, EnterEff,
+                            ExitEff, Frame, FreezeEff, Halloc, Load, Machine,
+                            MergeEff, Object, Region, Salloc, Swap, V_UNDEF)
 from reggio.model import Cap, ClassTable, leaves, tag_matches
 from reggio.syntax import Use, parse_program, parse_type
 from reggio.typecheck import check_program
@@ -280,6 +281,75 @@ def test_effect_wf_accepts_alloc_then_bind():
     # reading an iso field through a mut receiver is not viewpoint-adaptable
     gs3 = check_effect_wf(gs, Load("w", "x", "h"), classes)
     assert gs3 is None
+
+
+def _wf_classes() -> ClassTable:
+    t = ClassTable()
+    t.declare("C", [])
+    t.declare("D", [("f", parse_type("mut C"))])
+    t.declare("H", [("f", parse_type("iso C"))])
+    return t
+
+
+_EXIT = ExitEff("x", Use("r", True), "y", "f", "w", "val")
+_ENTER = EnterEff("w", Cap.TMP, "y", "f", ())
+
+# (case, effect, context stack, and a variable whose retyping makes the
+# effect well-formed, to show that the case fails on its premise alone)
+_WF_REJECTS = [
+    ("load through an iso", Load("x", "y", "f"),
+     [{"y": "iso H"}], ("y", "imm H")),
+    ("swap storing a var", Swap("x", "y", "f", Use("v", True)),
+     [{"y": "mut D", "v": "var Cell[mut C]"}], ("v", "mut C")),
+    ("field swap into an imm receiver", Swap("x", "y", "f", Use("c", True)),
+     [{"y": "imm D", "c": "mut C"}], ("y", "mut D")),
+    ("strong update of a non-var", Swap("x", "y", "val", Use("c", True)),
+     [{"y": "mut C", "c": "mut C"}], ("y", "var Cell[mut C]")),
+    ("new iso with a mut argument",
+     Halloc("x", Cap.ISO, "D", (Use("c", True),)), [{"c": "mut C"}], None),
+    ("argument not a subtype", Halloc("x", Cap.MUT, "D", (Use("c"),)),
+     [{"c": "imm C"}], ("c", "mut C")),
+    ("freeze of a non-iso", FreezeEff("x", Use("c", True)),
+     [{"c": "mut C"}], ("c", "iso C")),
+    ("merge of a non-iso", MergeEff("x", Use("c", True)),
+     [{"c": "mut C"}], ("c", "iso C")),
+    ("enter on a non-open target", _ENTER, [{"y": "imm H"}], ("y", "mut H")),
+    ("enter on a non-iso field", _ENTER, [{"y": "mut D"}], ("y", "mut H")),
+    ("var-cell form on a non-var", EnterEff("w", Cap.VAR, "y", "val", ()),
+     [{"y": "tmp Cell[iso C]"}], ("y", "var Cell[iso C]")),
+    ("capture that cannot be suspended",
+     EnterEff("w", Cap.TMP, "y", "f", (("z", Use("v", True)),)),
+     [{"y": "mut H", "v": "var Cell[mut C]"}], ("v", "mut C")),
+    ("exit returning mut", _EXIT,
+     [{"y": "mut H"}, {"w": "tmp Cell[mut C]", "r": "mut C"}],
+     ("r", "iso C")),
+    ("exit whose cell holds a non-mut", _EXIT,
+     [{"y": "mut H"}, {"w": "tmp Cell[imm C]", "r": "iso C"}],
+     ("w", "tmp Cell[mut C]")),
+    ("exit with one frame", _EXIT,
+     [{"y": "mut H", "w": "tmp Cell[mut C]", "r": "iso C"}], None),
+    # No program emits these two: the checker's `new` rejects both.
+    ("new of an undeclared class", Halloc("x", Cap.MUT, "Nope", ()),
+     [{}], None),
+    ("tmp Cell allocation", Salloc("x", Cap.TMP, "Cell", (Use("c", True),)),
+     [{"c": "mut C"}], None),
+]
+
+
+def _stack(frames) -> ContextStack:
+    return ContextStack([{x: parse_type(t) for x, t in g.items()}
+                         for g in frames])
+
+
+@pytest.mark.parametrize("case,eff,frames,fix", _WF_REJECTS,
+                         ids=[c[0] for c in _WF_REJECTS])
+def test_effect_wf_rejects(case, eff, frames, fix):
+    classes = _wf_classes()
+    assert check_effect_wf(_stack(frames), eff, classes) is None
+    if fix is not None:
+        x, t = fix
+        frames = frames[:-1] + [{**frames[-1], x: t}]
+        assert check_effect_wf(_stack(frames), eff, classes) is not None
 
 
 def test_config_wf_on_live_machine():

@@ -169,7 +169,8 @@ def test_known_bugs_registry():
     assert KNOWN_BUGS == {"exit-keep-temps", "exit-mut-writeback",
                           "shallow-freeze", "skip-bury", "reinstate-iso",
                           "vpa-paused-identity"}
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError,
+                       match=r"^unknown bug switches: \['nonsense'\]$"):
         Machine(_classes(), frozenset({"nonsense"}))
 
 

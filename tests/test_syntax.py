@@ -1,11 +1,14 @@
 """Lexer, parser, pretty-printer: round-trip and error reporting."""
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from reggio.fuzz import GenConfig, generate
-from reggio.syntax import (Enter, Let, New, ParseError, Use, lex,
-                           parse_expr, parse_program, parse_type,
+from reggio.syntax import (_PUNCT, KEYWORDS, Enter, Let, New, ParseError, Use,
+                           lex, parse_expr, parse_program, parse_type,
                            pretty_expr, pretty_program, pretty_type)
+from reggio.typecheck import TypeCheckError, check_program
 
 
 def test_tokenize_comments_and_positions():
@@ -111,3 +114,48 @@ def test_pretty_expr_parenthesizes_nested_let():
     # str prints by the same rule, so its text parses back too.
     assert str(e) == pretty_expr(e)
     assert parse_expr(str(e)) == e
+
+
+# -- robustness: any token sequence parses, or fails with ParseError ---------
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+_WORDS = sorted(KEYWORDS) + list(_PUNCT) + ["x", "y", "z", "f", "g", "val",
+                                            "C", "D", "Unit", "main", "r"]
+_CORPUS = [[t.text for t in lex(p.read_text(encoding="utf-8"))][:-1]
+           for p in sorted(CORPUS.glob("*.rgo"))]
+_soup = st.lists(st.sampled_from(_WORDS), max_size=60)
+
+
+@st.composite
+def _mutated_corpus(draw):
+    """A corpus program after one to three token inserts, deletes and
+    replacements; a new token comes from the program itself or _WORDS."""
+    toks = list(draw(st.sampled_from(_CORPUS)))
+    words = st.sampled_from(toks) | st.sampled_from(_WORDS)
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(["insert", "delete", "replace"]))
+        if op == "insert":
+            toks.insert(draw(st.integers(0, len(toks))), draw(words))
+        elif toks:
+            i = draw(st.integers(0, len(toks) - 1))
+            if op == "delete":
+                del toks[i]
+            else:
+                toks[i] = draw(words)
+    return toks
+
+
+@given(st.one_of(_soup, _mutated_corpus()))
+@settings(max_examples=800, deadline=None)
+def test_token_sequences_parse_or_raise_parse_error(toks):
+    """Token soup and mutated corpus programs reach ParseError or a program;
+    a program then type checks or raises TypeCheckError.  Any other
+    exception is a defect."""
+    try:
+        prog = parse_program(" ".join(toks))
+    except ParseError:
+        return
+    try:
+        check_program(prog)
+    except TypeCheckError:
+        pass
