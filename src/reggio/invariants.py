@@ -107,22 +107,22 @@ def _ref(where: dict[int, Loc], src: Loc, name: str, v) -> Ref:
 
 def _frame_refs(frame: Frame, where: dict[int, Loc]) -> list[Ref]:
     """Variable edges from the frame's root (buried bindings contribute
-    nothing) and the field edges of its temporaries."""
-    r = frame.r
-    root = Root(r)
+    nothing) and the field edges of its temporaries, whose locations where
+    holds, as it does a store's for _store_refs."""
+    root = Root(frame.r)
     refs = [_ref(where, root, x, v) for x, v in frame.vars.items()
             if v is not V_UNDEF]
     for iota, obj in frame.temps.items():
-        src = Temp(r, iota)
+        src = where[iota]
         for f, v in obj.fields.items():
             refs.append(_ref(where, src, f, v))
     return refs
 
 
-def _store_refs(r: int, store: Store, where: dict[int, Loc]) -> list[Ref]:
+def _store_refs(store: Store, where: dict[int, Loc]) -> list[Ref]:
     refs = []
     for iota, obj in store.items():
-        src = Heap(r, iota)
+        src = where[iota]
         for f, v in obj.fields.items():
             if v is V_UNDEF:
                 raise GraphError(f"heap object {iota} has undefined field {f}")
@@ -152,7 +152,7 @@ def build_graph(m: Machine) -> ConfigGraph:
     for frame in m.frames:
         refs.update(_frame_refs(frame, where))
     for r, region in m.regions.items():
-        refs.update(_store_refs(r, region.store, where))
+        refs.update(_store_refs(region.store, where))
     return ConfigGraph(roots | set(where.values()), refs)
 
 
@@ -319,15 +319,19 @@ def topology_pair_ok(rho: RegionOrder, fr: set[int], ref1: Ref,
             or rho.leq(r2d, ref2.src.r))
 
 
+def _external(rho: RegionOrder, fr, ref: Ref) -> bool:
+    """Whether ref can break the pairwise disjunction with a partner: its
+    destination is not frozen and not at-or-below its source."""
+    rd = ref.dst.r
+    return rd not in fr and not rho.leq(rd, ref.src.r)
+
+
 def _external_groups(rho: RegionOrder, fr, refs) -> dict[int, list[Ref]]:
-    """The refs that can break the pairwise disjunction with a partner,
-    by destination region: the destination is not frozen and not
-    at-or-below the source."""
+    """The external refs, by destination region."""
     groups: dict[int, list[Ref]] = {}
     for ref in refs:
-        rd = ref.dst.r
-        if rd not in fr and not rho.leq(rd, ref.src.r):
-            groups.setdefault(rd, []).append(ref)
+        if _external(rho, fr, ref):
+            groups.setdefault(ref.dst.r, []).append(ref)
     return groups
 
 
@@ -482,36 +486,52 @@ def check_config_wf(gammas: Optional[ContextStack], m: Machine,
 # The each-step fast path
 # ---------------------------------------------------------------------------
 
-def _fragment_of(loc: Loc) -> tuple[str, int]:
-    return ("store", loc.r) if type(loc) is Heap else ("frame", loc.r)
+def _fragment_of(loc: Loc) -> int:
+    """loc's fragment key: r for region r's store, ~r for its frame."""
+    return loc.r if type(loc) is Heap else ~loc.r
 
 
 class _Fragment:
     """One fragment's objects and refs, and what the refs count towards
-    the predicates that span fragments:
-    - the regions they point into;
-    - their external refs into each region (topology_ok);
-    - for a frame, its var targets, whether one of them has a second ref
-      from the frame, and the temporaries of other frames it points to
-      (var_unique).  A ref that passes location_ok and leaves a heap object
-      targets a heap object, so only frames count towards var_unique.
+    the predicates that span fragments, by region and object id:
+    - into: the regions they point into;
+    - external: their external refs into each region (topology_ok);
+    - for a frame, var_targets, var_shared (one of them has a second ref
+      from the frame) and paused, the temporaries of other frames it
+      points to (var_unique).  A ref that passes location_ok and leaves a
+      heap object targets a heap object, so only frames count here.
+    One pass over the refs applies the per-ref clauses, adding what fails
+    to violations, and builds the summary, which holds if nothing failed.
     The refs are indexed by source on first use (entry-point chains)."""
 
     __slots__ = ("objs", "refs", "into", "external", "var_targets",
-                 "var_shared", "paused_temps", "out")
+                 "var_shared", "paused", "out")
 
     def __init__(self, r: int, objs: tuple[int, ...], refs: list[Ref],
-                 rho: RegionOrder, fr) -> None:
+                 rho: RegionOrder, cl, fr, violations: list[dict]) -> None:
         self.objs = objs
         self.refs = refs
-        indegree, self.var_targets = _in_degrees(refs)
-        self.into = {loc.r for loc in indegree}
-        self.external = {rd: len(group) for rd, group
-                         in _external_groups(rho, fr, refs).items()}
-        self.var_shared = any(indegree[loc] > 1 for loc in self.var_targets)
-        self.paused_temps = [loc for loc in indegree
-                             if type(loc) is Temp and loc.r != r]
         self.out: Optional[dict[Loc, list[Ref]]] = None
+        self.into = into = set()
+        self.external = external = {}
+        self.var_targets = var_targets = set()
+        self.paused = paused = []
+        temp_in: dict[int, int] = {}  # refs into each of the frame's temps
+        for ref in refs:
+            _ref_violations(rho, cl, fr, ref, violations)
+            dst = ref.dst
+            rd = dst.r
+            into.add(rd)
+            if _external(rho, fr, ref):
+                external[rd] = external.get(rd, 0) + 1
+            if type(dst) is Temp:
+                if rd != r:
+                    paused.append(dst)
+                else:
+                    temp_in[dst.iota] = temp_in.get(dst.iota, 0) + 1
+                    if ref.cap is Cap.VAR:
+                        var_targets.add(dst.iota)
+        self.var_shared = max(map(temp_in.get, var_targets), default=0) > 1
 
 
 class Fragments:
@@ -532,7 +552,11 @@ class Fragments:
     - topology_ok: the external refs into each region are running totals.
       A re-extracted fragment's old counts are subtracted and its new ones
       added, and only the regions it counts are tested;
-    - var_unique spans frames only, and is tested over them;
+    - var_unique spans frames only.  A frame extracted again is tested
+      against the others: its paused refs into the frames below, and the
+      paused refs of the frames above into its var targets;
+    - entry-point chains through a fragment extracted again are checked,
+      and frames extracted again or given a new context are typed;
     - the open, closed and frozen sets and the region order are updated
       from the regions whose state changed.  Finding them compares each
       region's state with the last check's, the one pass over the region
@@ -546,14 +570,13 @@ class Fragments:
 
     def reset(self) -> None:
         """Forget every summary: the next check extracts everything."""
-        self.frags: dict[tuple[str, int], _Fragment] = {}
+        self.frags: dict[int, _Fragment] = {}  # by _fragment_of key
         self.where: dict[int, Loc] = {}
         self.objects: dict[int, Object] = {}
         self.status: dict[int, str] = {}  # region -> its state
         self.ids: dict[str, set[int]] = {s: set() for s in STATES}
         self.external: dict[int, int] = {}  # region -> external refs in
-        # region -> the fragments with refs into it
-        self.into: dict[int, set[tuple[str, int]]] = {}
+        self.into: dict[int, set[int]] = {}  # region -> frags with refs in
         self.rho = RegionOrder([])
         self.frames: list[Frame] = []
         self.frame_of: dict[int, Frame] = {}  # region -> its frame
@@ -600,64 +623,50 @@ class Fragments:
         touched = self._touched(frames, n, changed)
         if touched is None:
             return False
-        # Take the touched fragments out of the summaries and index their
-        # objects where they are now.
-        frags, where, objects = self.frags, self.where, self.objects
-        frame_of = self.frame_of
-        stores = {}
+        # Take every touched fragment out before indexing any (merge moves
+        # objects between two of them); queue those still present.
         for key in touched:
-            frag = self._drop(key)
-            if frag is not None:
-                for iota in frag.objs:
-                    del where[iota], objects[iota]
-            kind, r = key
-            if kind == "frame":
-                if r in frame_of:
-                    stores[key] = frame_of[r].temps
-            elif r in regions:
-                stores[key] = regions[r].store
-        recheck: dict[tuple[str, int], tuple[int, ...]] = {}
-        for key, store in stores.items():
-            _add_objects(where, store,
-                         Temp if key[0] == "frame" else Heap, key[1])
+            self._drop(key)
+        where, objects, frame_of = self.where, self.objects, self.frame_of
+        queue = []
+        for key in touched:
+            frame = frame_of.get(~key) if key < 0 else None
+            if frame is not None:
+                store = frame.temps
+                _add_objects(where, store, Temp, frame.r)
+            elif key >= 0 and key in regions:
+                store = regions[key].store
+                _add_objects(where, store, Heap, key)
+            else:
+                continue
             objects.update(store)
-            recheck[key] = tuple(store)
-        # Objects leave a fragment only with a region that changes state
-        # or leaves the table: refs into such a region are checked again.
-        if changed:
-            into = [key for r in changed for key in self.into.get(r, ())]
-            for key in into:
-                frag = self._drop(key)
-                if frag is not None:
-                    recheck[key] = frag.objs
+            queue.append((key, frame, store))
         rho = self.rho
         cl, fr = ids[CLOSED], ids[FROZEN]
-        external = self.external
         violations: list[dict] = []
-        for key, objs in recheck.items():
-            kind, r = key
-            if kind == "frame":
-                refs = _frame_refs(frame_of[r], where)
-            else:
-                refs = _store_refs(r, regions[r].store, where)
-            for ref in refs:
-                _ref_violations(rho, cl, fr, ref, violations)
-            if violations:
-                return False
-            frag = _Fragment(r, objs, refs, rho, fr)
-            if frag.var_shared:
-                return False
-            self._keep(key, frag)
-            # Only the totals this fragment added to can exceed one.
-            if any(external[rd] > 1 for rd in frag.external):
+        for key, frame, store in queue:
+            refs = (_store_refs(store, where) if frame is None
+                    else _frame_refs(frame, where))
+            frag = _Fragment(key if frame is None else frame.r, tuple(store),
+                             refs, rho, cl, fr, violations)
+            if violations or frag.var_shared or not self._keep(key, frag):
                 return False
         if len(frames) > 1:
-            # var_unique across frames: a paused ref into a var target of
-            # a lower frame is a second ref into it.
-            for f in frames:
-                for dst in frags[("frame", f.r)].paused_temps:
-                    if dst in frags[("frame", dst.r)].var_targets:
+            frags = self.frags
+            for key, frame, _ in queue:
+                if frame is None:
+                    continue
+                # var_unique across frames: a paused ref into a var target
+                # of a lower frame is a second ref into it.
+                frag = frags[key]
+                for dst in frag.paused:
+                    if dst.iota in frags[~dst.r].var_targets:
                         return False
+                if frag.var_targets:
+                    for r in rho.ids[:rho.index[frame.r]]:
+                        for dst in frags[~r].paused:
+                            if dst.iota in frag.var_targets:
+                                return False
             # Entry-point chains that run through a fragment checked again.
             # A frame is pushed onto the top frame, which is always checked
             # again.
@@ -668,8 +677,7 @@ class Fragments:
                 loc_y = where.get(iota_y)
                 if loc_y is None:
                     return False
-                if ((("frame", below.r) in recheck
-                     or _fragment_of(loc_y) in recheck)
+                if ((~below.r in touched or _fragment_of(loc_y) in touched)
                         and not _chain_ok(self._out_refs, loc_y, below.r, f,
                                           above.r)):
                     return False
@@ -677,7 +685,7 @@ class Fragments:
         old_gammas = self.gammas
         for i, (gamma, frame) in enumerate(zip(gammas.frames, frames)):
             if (i < len(old_gammas) and old_gammas[i] is gamma
-                    and ("frame", frame.r) not in recheck):
+                    and ~frame.r not in touched):
                 continue
             _check_frame_typing(gamma, frame, objects, violations)
             if violations:
@@ -686,54 +694,61 @@ class Fragments:
         self.gammas = gammas.frames[:]
         return True
 
-    def _drop(self, key: tuple[str, int]) -> Optional[_Fragment]:
-        """Take a fragment out of the summaries and of the totals and
-        index built from them."""
+    def _drop(self, key: int) -> None:
+        """Take a fragment out of the summaries, the totals and indexes."""
         frag = self.frags.pop(key, None)
-        if frag is not None:
-            external = self.external
-            for rd, n in frag.external.items():
-                n = external[rd] - n
-                if n:
-                    external[rd] = n
-                else:
-                    del external[rd]
-            into = self.into
-            for rd in frag.into:
-                keys = into[rd]
-                keys.discard(key)
-                if not keys:
-                    del into[rd]
-        return frag
-
-    def _keep(self, key: tuple[str, int], frag: _Fragment) -> None:
-        self.frags[key] = frag
-        external = self.external
+        if frag is None:
+            return
+        external, into = self.external, self.into
         for rd, n in frag.external.items():
-            external[rd] = external.get(rd, 0) + n
-        into = self.into
+            n = external[rd] - n
+            if n:
+                external[rd] = n
+            else:
+                del external[rd]
+        for rd in frag.into:
+            keys = into[rd]
+            keys.discard(key)
+            if not keys:
+                del into[rd]
+        where, objects = self.where, self.objects
+        for iota in frag.objs:
+            del where[iota], objects[iota]
+
+    def _keep(self, key: int, frag: _Fragment) -> bool:
+        """Put a fragment back; False if a total of external refs it adds
+        to, the only ones that can, exceeds one."""
+        self.frags[key] = frag
+        external, into = self.external, self.into
+        ok = True
+        for rd, n in frag.external.items():
+            external[rd] = n = external.get(rd, 0) + n
+            ok = ok and n < 2
         for rd in frag.into:
             keys = into.get(rd)
             if keys is None:
                 into[rd] = {key}
             else:
                 keys.add(key)
+        return ok
 
     def _touched(self, frames: list[Frame], n: int, changed: list[int]
-                 ) -> Optional[set[tuple[str, int]]]:
-        """The fragments a step touched, where the first n frames are
-        the last check's; None if the effect writes an object the
+                 ) -> Optional[set[int]]:
+        """The fragments to extract again, where the first n frames are
+        the last check's: the ones the step touched and the ones with refs
+        into a region in changed; None if the effect writes an object the
         summaries do not know."""
         prev = self.frames
-        touched = {("frame", frames[-1].r)}
+        touched = {~frames[-1].r}
         if prev:
-            touched.add(("frame", prev[-1].r))
+            touched.add(~prev[-1].r)
         for f in prev[n:]:
-            touched.add(("frame", f.r))
+            touched.add(~f.r)
         for f in frames[n:]:
-            touched.add(("frame", f.r))
+            touched.add(~f.r)
         for r in changed:
-            touched.add(("store", r))
+            touched.add(r)
+            touched.update(self.into.get(r, ()))
         eff = self.effect
         kind = type(eff)
         if kind is Swap or kind is ExitEff:
@@ -745,7 +760,7 @@ class Fragments:
             touched.add(_fragment_of(loc))
         elif (kind is Halloc and eff.cap is Cap.MUT) or kind is MergeEff:
             # The active region, which gains objects.
-            touched.add(("store", frames[-1].r))
+            touched.add(frames[-1].r)
         return touched
 
     def _out_refs(self, loc: Loc) -> list[Ref]:

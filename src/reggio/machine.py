@@ -3,10 +3,11 @@
 A configuration is a region stack (frames, top = last) and a region table
 mapping region-id -> Region, whose state is open (on the stack), closed
 (isolated behind one iso) or frozen (deeply immutable), and whose store
-maps object-id -> Object.  Enter, exit and freeze change a region's state
-in place; merge moves a closed region's store into the active region.  The
-machine consumes effects emitted by the command machine and mutates the
-configuration in place.
+maps object-id -> Object; region_of indexes each heap object's region.
+Enter, exit and freeze change a region's state in place; merge moves a
+closed region's store into the active region.  The machine consumes
+effects emitted by the command machine and mutates the configuration in
+place.
 
 ``bugs`` is a set of named, deliberately planted faults used to validate
 the invariant checker by mutation testing; the shipped default is empty.
@@ -223,6 +224,7 @@ class Machine:
         self._next_region = 1
         self.frames: list[Frame] = [Frame(r=0)]
         self.regions: dict[int, Region] = {0: Region(OPEN, {})}
+        self.region_of: dict[int, int] = {}  # heap object id -> its region
         self._field_names: dict[str, list[str]] = {}  # class -> its fields
 
     # -- helpers ---------------------------------------------------------------
@@ -269,9 +271,9 @@ class Machine:
     def heap_load(self, iota: int,
                   states: tuple[str, ...]) -> Optional[Object]:
         """The object iota in a region whose state is one of states."""
-        for region in self.regions.values():
-            if region.state in states and iota in region.store:
-                return region.store[iota]
+        region = self.regions.get(self.region_of.get(iota))
+        if region is not None and region.state in states:
+            return region.store[iota]
         return None
 
     def cfg_load(self, iota: int,
@@ -282,9 +284,9 @@ class Machine:
         return self.heap_load(iota, states)
 
     def closed_region_of(self, iota: int) -> Optional[int]:
-        for r, region in self.regions.items():
-            if region.state == CLOSED and iota in region.store:
-                return r
+        r = self.region_of.get(iota)
+        if r is not None and self.regions[r].state == CLOSED:
+            return r
         return None
 
     def _fields_for(self, cls: str, vals: list[Value]) -> dict[str, Value]:
@@ -378,14 +380,15 @@ class Machine:
         iota = self.fresh_iota()
         obj = Object(eff.cls, self._fields_for(eff.cls, vals))
         if eff.cap is Cap.MUT:
-            self.regions[top.r].store[iota] = obj
-            top.vars[eff.x] = (Cap.MUT, iota)
+            r = top.r
+            self.regions[r].store[iota] = obj
         elif eff.cap is Cap.ISO:
             r = self.fresh_region()
             self.regions[r] = Region(CLOSED, {iota: obj})
-            top.vars[eff.x] = (Cap.ISO, iota)
         else:
             raise Stuck(f"halloc: bad capability {eff.cap}")
+        self.region_of[iota] = r
+        top.vars[eff.x] = (eff.cap, iota)
 
     def _step_salloc(self, eff: Salloc) -> None:
         top = self.top
@@ -507,7 +510,9 @@ class Machine:
         r = self.closed_region_of(iota)
         if r is None:
             raise Stuck("merge: target region is not closed")
-        self.regions[top.r].store.update(self.regions.pop(r).store)
+        store = self.regions.pop(r).store
+        self.regions[top.r].store.update(store)
+        self.region_of.update(dict.fromkeys(store, top.r))
         top.vars[eff.x] = (Cap.MUT, iota)
 
     def _step_cast(self, eff: CastEff | NoCastEff) -> None:

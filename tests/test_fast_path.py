@@ -11,7 +11,7 @@ import pytest
 from reggio import invariants
 from reggio.command import TandemRunner, Verdict, desugar_program
 from reggio.fuzz import GenConfig, generate
-from reggio.invariants import (ContextStack, Fragments, GraphError,
+from reggio.invariants import (ContextStack, Fragments, GraphError, Temp,
                                check_config_wf)
 from reggio.machine import (CLOSED, EFFECT_NAMES, FROZEN, KNOWN_BUGS,
                             V_UNDEF, Bind, EnterEff, Eps, FreezeEff, Halloc,
@@ -230,6 +230,122 @@ def test_new_context_retypes_untouched_frame():
     state.effect = Eps()
     assert not check_config_wf(gammas, m, state)["verdict"]
     assert not state.mismatches
+
+
+def _three_frames(prefix, captures=()) -> tuple:
+    """(machine, Lockstep, contexts) stepped, and checked, through prefix
+    in frame 0, then two enters: frame 1 (c's region) through h.h,
+    capturing h2 as the paused z and any other captures, and frame 2
+    (c2's region) through z.h."""
+    m, state = Machine(_classes()), Lockstep()
+    gammas = ContextStack()
+    steps = (*prefix,
+             Halloc("c", Cap.ISO, "C", ()),
+             Halloc("h", Cap.MUT, "H", (Use("c", True),)),
+             Halloc("c2", Cap.ISO, "C", ()),
+             Halloc("h2", Cap.MUT, "H", (Use("c2", True),)),
+             EnterEff("w", Cap.TMP, "h", "h", (("z", Use("h2")), *captures)),
+             EnterEff("w2", Cap.TMP, "z", "h", ()))
+    for eff in steps:
+        m.step_effect(eff)
+        if isinstance(eff, EnterEff):
+            gammas.frames.append({})
+        state.effect = eff
+        assert check_config_wf(gammas, m, state)["verdict"]
+    assert len(m.frames) == 3
+    return m, state, gammas
+
+
+def test_paused_ref_from_top_into_var_cell_two_frames_down():
+    """The top frame gains a paused ref into frame 0's var cell while the
+    middle frame is untouched: the re-extracted top frame's paused refs
+    are tested against every frame below."""
+    m, state, gammas = _three_frames(
+        (Halloc("a", Cap.MUT, "C", ()),
+         Salloc("v", Cap.VAR, "Cell", (Use("a"),))))
+    _, iota_v = m.frames[0].vars["v"]
+    m.frames[2].vars["p"] = (Cap.PAUSED, iota_v)
+    state.effect = Eps()
+    report = check_config_wf(gammas, m, state)
+    assert [v["predicate"] for v in report["violations"]] == ["var_unique"]
+    assert not state.mismatches
+    assert state.checks == 9
+
+
+def test_lower_frame_reextracted_under_paused_ref_into_its_var_cell():
+    """Frame 1 holds a paused ref into frame 0's temporary t.  A region
+    that frame 0 refers to changes state, so frame 0 is extracted again
+    through the region -> fragments index, now with a var ref into t; the
+    middle frame is untouched.  The re-extracted lower frame's var targets
+    are tested against the frames above it."""
+    m, state, gammas = _three_frames(
+        (Salloc("t", Cap.TMP, "C", ()), Halloc("q", Cap.ISO, "C", ())),
+        captures=(("s", Use("t")),))
+    _, iota_t = m.frames[0].vars["t"]
+    _, iota_q = m.frames[0].vars["q"]
+    assert m.frames[1].vars["s"] == (Cap.PAUSED, iota_t)
+    # Freeze q's region behind frame 0's back, with q now imm, and make
+    # frame 0's ref into t a var ref.
+    m.regions[m.region_of[iota_q]].state = FROZEN
+    m.frames[0].vars["q"] = (Cap.IMM, iota_q)
+    m.frames[0].vars["t"] = V_UNDEF
+    m.frames[0].vars["v"] = (Cap.VAR, iota_t)
+    state.effect = Eps()
+    report = check_config_wf(gammas, m, state)
+    assert [v["predicate"] for v in report["violations"]] == ["var_unique"]
+    assert not state.mismatches
+    assert state.checks == 9
+
+
+class _Audit(Fragments):
+    """Fragments that, after every check they pass, recompute each kept
+    fragment's summary from its refs by the spec's definitions, and
+    compare its objects with its store's."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.audited = 0
+
+    def passes(self, gammas, m) -> bool:
+        ok = super().passes(gammas, m)
+        if ok:
+            rho, fr = self.rho, self.ids[FROZEN]
+            for key, frag in self.frags.items():
+                r = key if key >= 0 else ~key  # a store, or a frame
+                store = (m.regions[r].store if key >= 0
+                         else self.frame_of[r].temps)
+                assert set(frag.objs) == set(store)
+                indegree, var_targets = invariants._in_degrees(frag.refs)
+                groups = invariants._external_groups(rho, fr, frag.refs)
+                assert frag.into == {loc.r for loc in indegree}
+                assert frag.external == {rd: len(refs)
+                                         for rd, refs in groups.items()}
+                assert ({(Temp, r, iota) for iota in frag.var_targets}
+                        == {(type(loc), loc.r, loc.iota)
+                            for loc in var_targets})
+                assert not frag.var_shared
+                assert not any(indegree[loc] > 1 for loc in var_targets)
+                assert ({(d.r, d.iota) for d in frag.paused}
+                        == {(loc.r, loc.iota) for loc in indegree
+                            if type(loc) is Temp and loc.r != r})
+                self.audited += 1
+        return ok
+
+
+@pytest.mark.parametrize("bug", [None, *sorted(KNOWN_BUGS)])
+def test_fragment_summary_matches_definition(bug):
+    """Every fragment the fast path keeps, over campaign seeds 0-49, has
+    the summary that _in_degrees and _external_groups give for its refs."""
+    bugs = frozenset() if bug is None else frozenset({bug})
+    audited = 0
+    for seed in range(50):
+        prog = generate(GenConfig(seed=seed, max_depth=8))
+        runner = TandemRunner(prog, check="each-step", budget=2000,
+                              bugs=bugs)
+        runner.fragments = _Audit()
+        runner.run()
+        audited += runner.fragments.audited
+    assert audited > 100
 
 
 class _PassAll(Fragments):

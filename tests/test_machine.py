@@ -1,6 +1,8 @@
 """Region machine: region table, frames, effect stepping, planted bugs."""
 import pytest
 
+from reggio.command import TandemRunner
+from reggio.fuzz import GenConfig, generate
 from reggio.machine import (CLOSED, FROZEN, OPEN, Bind, EnterEff, ExitEff,
                             FreezeEff, Halloc, KNOWN_BUGS, Load, Machine,
                             MergeEff, Salloc, Stuck, Swap, V_UNDEF,
@@ -138,6 +140,27 @@ def test_merge_keeps_nested_region_closed():
     assert set(m.regions) == {0, nested}
     assert m.top.vars["x"][0] is Cap.MUT
     assert len(m.regions[0].store) == 1  # the bridge object moved into 0
+
+
+@pytest.mark.parametrize("bug", [None, *sorted(KNOWN_BUGS)])
+def test_region_index_matches_region_table(bug):
+    """After every step of campaign seeds 0-49 under each-step, the object
+    -> region index equals a scan of the region table."""
+    bugs = frozenset() if bug is None else frozenset({bug})
+    steps = 0
+    for seed in range(50):
+        prog = generate(GenConfig(seed=seed, max_depth=8))
+        runner = TandemRunner(prog, check="each-step", budget=3000,
+                              bugs=bugs)
+        m = runner.machine
+
+        def compare(step, eff, verdict_ok) -> None:
+            assert m.region_of == {iota: r for r, region in m.regions.items()
+                                   for iota in region.store}, (seed, step)
+
+        runner.observer = compare
+        steps += runner.run().steps
+    assert steps >= 50  # at least one step a run
 
 
 def test_load_reads_fields():
