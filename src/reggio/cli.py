@@ -4,6 +4,7 @@ Subcommands:
   check <file>                      type check, print the main type
   run <file> [--invariant-check=..] execute; exit code reports the outcome
   trace <file>                      execute, emitting one JSON line per step
+                                    and, on a violation, one with its report
   fuzz [--seeds=N] [--depth=D] ...  soundness campaign
 
 Exit codes: 0 done; 1 type error; 2 failed (badenter); 3 stuck or invariant
@@ -135,6 +136,8 @@ def cmd_trace(args) -> int:
 
     runner = _runner(args, observer)
     result = runner.run()
+    if result.report is not None:
+        print(json.dumps(result.report))
     if result.verdict is not Verdict.DONE:
         print(f"{result.verdict.value} after {result.steps} steps: "
               f"{result.detail}", file=sys.stderr)

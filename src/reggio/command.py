@@ -22,7 +22,7 @@ from .machine import (BadEnter, Bind, CastEff, Effect, EnterEff, Eps,
                       NoCastEff, Salloc, Stuck, Swap)
 from .syntax import (Assign, Call, Deref, Enter, Expr, Freeze, Let, LVal,
                      Merge, New, Program, TypeTest, Use, VarAlloc, rebuild,
-                     walk)
+                     replace, walk)
 
 
 class _Failure:
@@ -45,15 +45,6 @@ class FreshNames:
 # ---------------------------------------------------------------------------
 # Renaming through an environment (source name -> runtime name)
 # ---------------------------------------------------------------------------
-
-def replace(node, **changes):
-    """dataclasses.replace for a frozen syntax node: a copy of its fields
-    with changes applied, without inspecting the class on every call.  No
-    syntax class has a __post_init__ or an init-only field."""
-    new = object.__new__(type(node))
-    new.__dict__.update(node.__dict__, **changes)
-    return new
-
 
 def rename_use(u: Use, env: dict[str, str]) -> Use:
     if u.name in env:
@@ -397,9 +388,8 @@ class TandemRunner:
                 evolved = check_effect_wf(self.gammas, eff,
                                           self.prog.classes)
                 if evolved is None:
-                    return RunResult(
-                        Verdict.VIOLATION, self.steps,
-                        f"effect {eff} rejected by wf-eff")
+                    return self._violation(
+                        eff, f"effect {eff} rejected by wf-eff")
                 self.gammas = evolved
                 if self.fragments is not None:
                     self.fragments.effect = eff
@@ -407,10 +397,17 @@ class TandemRunner:
                                              self.fragments)
                     verdict_ok = report["verdict"]
                     if not verdict_ok:
-                        return RunResult(Verdict.VIOLATION, self.steps,
-                                         "invariant violation", report)
+                        return self._violation(eff, "invariant violation",
+                                               report)
             if self.observer is not None:
                 self.observer(self.steps, eff, verdict_ok)
+
+    def _violation(self, eff: Effect, detail: str,
+                   report: Optional[dict] = None) -> RunResult:
+        """A step that a check rejected, shown to the observer first."""
+        if self.observer is not None:
+            self.observer(self.steps, eff, False)
+        return RunResult(Verdict.VIOLATION, self.steps, detail, report)
 
     def _end(self, verdict: Verdict, detail: str = "") -> RunResult:
         """The run's result.  Under each-step the final state also goes to

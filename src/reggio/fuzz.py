@@ -19,8 +19,8 @@ from .model import (Cap, CapType, CellHead, ClassName, ClassTable, FunSig,
                     fresult, leaves, make_cell, make_imm, make_iso, make_mut,
                     vpa_type)
 from .syntax import (Assign, Call, Deref, Enter, Expr, Freeze, Let, LVal,
-                     Merge, New, Program, TypeTest, Use, VarAlloc, fold,
-                     parse_type, pretty_program, rebuild, walk)
+                     Merge, New, Program, TypeTest, Use, VarAlloc,
+                     _with_children, fold, parse_type, pretty_program, walk)
 from .typecheck import TypeCheckError, check_program
 
 # ---------------------------------------------------------------------------
@@ -102,16 +102,23 @@ class _GiveUp(Exception):
 
 
 class _Gen:
+    # The menu's table, built once: no program's table changes after it.
+    menu: Optional[ClassTable] = None
+
     def __init__(self, cfg: GenConfig, seed: int) -> None:
         self.cfg = cfg
         self.rng = random.Random(seed)
-        self.classes = _menu_classes()
+        if _Gen.menu is None:
+            _Gen.menu = _menu_classes()
+        self.classes = _Gen.menu
         self.class_names = [n for n, _ in _MENU]
         self.holders = [n for n in self.class_names if n.startswith("H")]
         self.functions = FunctionTable()
         self.fn_order: list[str] = []
         self.counter = 0
         self.productions = [getattr(self, "p_" + name) for name in _WEIGHTS]
+        total = 0  # rng.choices' own running sums of the weights
+        self.cum_weights = [total := total + w for w in _WEIGHTS.values()]
         if self.rng.random() < 0.3:
             body = Let("sr", Call(_SPIN, ()), Use("sr", True))
             self.functions.declare(
@@ -463,8 +470,8 @@ class _Gen:
 
     def step(self, scope: _Scope) -> None:
         for _ in range(6):
-            production = self.rng.choices(self.productions,
-                                          _WEIGHTS.values())[0]
+            production = self.rng.choices(
+                self.productions, cum_weights=self.cum_weights)[0]
             try:
                 if production(scope):
                     return
@@ -577,19 +584,31 @@ def _unused_sites(e: Expr) -> tuple[list[int], list[tuple[int, int]]]:
     return sorted(lets), sorted(captures)
 
 
+def _change_at(e: Expr, target: int, change: Callable[[Expr], Expr]) -> Expr:
+    """e with the node at preorder index target replaced by change(node);
+    the walk stops there, and only the path to it is copied."""
+    path = []  # (ancestor, its kids, the kid on the path)
+    for node, index, kids, k in walk(e):
+        if k:
+            path.pop()  # back from kid k - 1
+        if index == target:
+            break
+        if k < len(kids):
+            path.append((node, kids, k))
+    e = change(node)
+    for node, kids, k in reversed(path):
+        e = _with_children(node, [*kids[:k], e, *kids[k + 1:]])
+    return e
+
+
 def _remove_let(e: Expr, target: int) -> Expr:
-    return rebuild(e, lambda x, i: x.body if i == target else x)
+    return _change_at(e, target, lambda x: x.body)
 
 
 def _remove_capture(e: Expr, target: tuple[int, int]) -> Expr:
     enter, k = target
-
-    def visit(x: Expr, i: int) -> Expr:
-        if i != enter:
-            return x
-        return replace(x, captures=x.captures[:k] + x.captures[k + 1:])
-
-    return rebuild(e, visit)
+    return _change_at(e, enter, lambda x: replace(
+        x, captures=x.captures[:k] + x.captures[k + 1:]))
 
 
 def _used_decls(prog: Program) -> tuple[list[str], list[str]]:
@@ -625,25 +644,20 @@ def _used_decls(prog: Program) -> tuple[list[str], list[str]]:
             types_of(sig.result)
             decls_in(sig.body)
     # Fields of used classes pull in more classes, transitively.
-    changed = True
-    while changed:
-        changed = False
-        for cname in list(classes):
-            if cname not in prog.classes:
-                continue
-            for _f, t in prog.classes.ftypes(ClassName(cname)):
-                before = len(classes)
-                types_of(t)
-                changed = changed or len(classes) != before
+    done: set[str] = set()
+    while todo := classes - done:
+        for cname in todo:
+            done.add(cname)
+            if cname in prog.classes:
+                for _f, t in prog.classes.ftypes(ClassName(cname)):
+                    types_of(t)
     kept_c = [c for c in prog.class_order if c in classes]
     kept_f = [f for f in prog.fn_order if f in fns]
     return kept_c, kept_f
 
 
 def _rebuild(prog: Program, main: Expr) -> Program:
-    kept_c, kept_f = _used_decls(
-        Program(prog.classes, prog.functions, main,
-                prog.class_order, prog.fn_order))
+    kept_c, kept_f = _used_decls(replace(prog, main=main))
     table = ClassTable()
     for c in kept_c:
         table.declare(c, list(prog.classes.ftypes(ClassName(c))))
@@ -659,7 +673,9 @@ def shrink(prog: Program,
     predicate keeps triggering and the program keeps type checking.
 
     Every program passed to the predicate has type checked, so the
-    predicate need not check it again."""
+    predicate need not check it again.  Candidates keep the declarations,
+    which neither type checking nor a run reads unless main names them;
+    the unused ones are pruned once, from the result."""
     try:
         check_program(prog)
     except TypeCheckError:
@@ -674,7 +690,7 @@ def shrink(prog: Program,
         candidates = ([(_remove_let, site) for site in let_sites]
                       + [(_remove_capture, site) for site in capture_sites])
         for remove, site in candidates:
-            cand = _rebuild(current, remove(current.main, site))
+            cand = replace(current, main=remove(current.main, site))
             try:
                 check_program(cand)
             except TypeCheckError:

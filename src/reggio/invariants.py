@@ -531,7 +531,8 @@ class _Fragment:
                     temp_in[dst.iota] = temp_in.get(dst.iota, 0) + 1
                     if ref.cap is Cap.VAR:
                         var_targets.add(dst.iota)
-        self.var_shared = max(map(temp_in.get, var_targets), default=0) > 1
+        self.var_shared = bool(var_targets) and max(
+            map(temp_in.get, var_targets)) > 1
 
 
 class Fragments:
@@ -611,7 +612,7 @@ class Fragments:
             if a is not b:
                 break
             n += 1
-        moved = frames[n:] or prev[n:]
+        moved = n != len(frames) or n != len(prev)
         if changed or moved:
             stack = [f.r for f in frames]
             open_ids = ids[OPEN]

@@ -26,7 +26,7 @@ Grammar sketch (programs live in `.rgo` files):
 from __future__ import annotations
 
 import string
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from operator import is_not
 from typing import Callable, Iterator, TypeVar
 
@@ -223,6 +223,15 @@ def children(e: Expr) -> tuple[Expr, ...]:
     if isinstance(e, TypeTest):
         return e.then, e.els
     return ()
+
+
+def replace(node, **changes):
+    """dataclasses.replace for a frozen syntax node: a copy of its fields
+    with changes applied, without inspecting the class on every call.  No
+    syntax class has a __post_init__ or an init-only field."""
+    new = object.__new__(type(node))
+    new.__dict__.update(node.__dict__, **changes)
+    return new
 
 
 def _with_children(e: Expr, kids: list[Expr]) -> Expr:
@@ -466,14 +475,16 @@ class Parser:
             return UnionType(t, self.type())
         return t
 
-    def captype(self) -> CapType:
+    def cap(self) -> Cap:
         tok = self.peek()
-        if tok.kind == "kw" and tok.text in _CAP_WORDS:
-            self.next()
-            k = _CAP_WORDS[tok.text]
-        else:
+        if tok.kind != "kw" or tok.text not in _CAP_WORDS:
             raise ParseError(f"expected capability, found {tok.text!r}",
                              tok.pos)
+        self.next()
+        return _CAP_WORDS[tok.text]
+
+    def captype(self) -> CapType:
+        k = self.cap()
         if self.at("kw", "Cell"):
             self.next()
             self.expect("[")
@@ -553,16 +564,11 @@ class Parser:
             return VarAlloc(self.use(), tok.pos)
         if self.at("kw", "new"):
             self.next()
-            cap_tok = self.peek()
-            if cap_tok.kind != "kw" or cap_tok.text not in _CAP_WORDS:
-                raise ParseError(
-                    f"expected capability, found {cap_tok.text!r}",
-                    cap_tok.pos)
-            self.next()
+            cap = self.cap()
             cls = self.ident()
             self.expect("(")
             args = tuple(self.items_until(")", self.use))
-            return New(_CAP_WORDS[cap_tok.text], cls.text, args, tok.pos)
+            return New(cap, cls.text, args, tok.pos)
         if self.at("kw", "freeze"):
             self.next()
             return Freeze(self.use(), tok.pos)

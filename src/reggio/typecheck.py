@@ -107,6 +107,8 @@ class Checker:
         # The context of the innermost let spine being checked, which that
         # spine alone holds; a drop from it is made in place.
         self._owned: Gamma | None = None
+        # check_new's field types and result type, by (cap, class).
+        self._new_heads: dict[tuple[Cap, str], tuple[list, CapType]] = {}
 
     # -- uses -----------------------------------------------------------------
 
@@ -278,12 +280,17 @@ class Checker:
         return CapType(Cap.VAR, CellHead(t_u)), g2
 
     def check_new(self, gamma: Gamma, e: New) -> tuple[Type, Gamma]:
-        if e.cls not in self.classes:
-            _fail("cmd-ty-new", f"unknown class {e.cls}", e.pos)
-        if e.cap not in (Cap.MUT, Cap.TMP, Cap.ISO):
-            _fail("cmd-ty-new",
-                  f"new requires mut, tmp, or iso, got {e.cap}", e.pos)
-        ftypes = self.classes.ftypes(ClassName(e.cls))
+        head = self._new_heads.get((e.cap, e.cls))
+        if head is None:
+            if e.cls not in self.classes:
+                _fail("cmd-ty-new", f"unknown class {e.cls}", e.pos)
+            if e.cap not in (Cap.MUT, Cap.TMP, Cap.ISO):
+                _fail("cmd-ty-new",
+                      f"new requires mut, tmp, or iso, got {e.cap}", e.pos)
+            head = self._new_heads[e.cap, e.cls] = (
+                self.classes.ftypes(ClassName(e.cls)),
+                CapType(e.cap, ClassName(e.cls)))
+        ftypes, result = head
         if len(ftypes) != len(e.args):
             _fail("cmd-ty-new",
                   f"{e.cls} has {len(ftypes)} fields, got "
@@ -298,7 +305,7 @@ class Checker:
                 _fail("cmd-ty-new",
                       f"iso constructor arguments must be iso or imm, "
                       f"{fname} gets {pretty_type(t_a)}", arg.pos)
-        return CapType(e.cap, ClassName(e.cls)), gamma
+        return result, gamma
 
     def check_freeze(self, gamma: Gamma, e: Freeze) -> tuple[Type, Gamma]:
         t, g2 = self.check_use(gamma, e.use)

@@ -12,9 +12,21 @@ the sha256 over every ``check_effect_wf`` call of the each-step runs with
 no planted bug over seeds 0-49, each the effect and the evolved context
 stack or None.
 
-    python tests/golden_runs.py --write    rewrite both golden files
-    python tests/golden_runs.py --digest   print the sha256 over seeds 0-199,
-                                           pinned in tests/golden/runs.digest
+``tests/golden/programs.digest`` pins the generator: the sha256 over the
+pretty text of ``generate(GenConfig(seed=s, max_depth=d))`` for d in 1, 4
+and 8, then s in 0-299.  ``tests/golden/witnesses.digest`` pins the bug
+hunts: the sha256 over each ``campaign`` from start seeds 0, 1000 and
+2000 against each planted bug, its abort seed, run count and shrunk
+counterexample.
+
+    python tests/golden_runs.py --write      rewrite runs.txt and
+                                             effect_wf.digest
+    python tests/golden_runs.py --digest     print the sha256 over seeds
+                                             0-199, pinned in runs.digest
+    python tests/golden_runs.py --programs   print the generator's sha256,
+                                             pinned in programs.digest
+    python tests/golden_runs.py --witnesses  print the bug hunts' sha256,
+                                             pinned in witnesses.digest
 """
 from __future__ import annotations
 
@@ -28,11 +40,14 @@ if __name__ == "__main__":
 
 from reggio import invariants  # noqa: E402
 from reggio.command import TandemRunner  # noqa: E402
-from reggio.fuzz import GenConfig, generate  # noqa: E402
+from reggio.fuzz import GenConfig, campaign, generate  # noqa: E402
 from reggio.machine import KNOWN_BUGS  # noqa: E402
+from reggio.syntax import pretty_program  # noqa: E402
 
 RUNS_TXT = Path(__file__).parent / "golden" / "runs.txt"
 EFFECT_WF_DIGEST = Path(__file__).parent / "golden" / "effect_wf.digest"
+PROGRAMS_DIGEST = Path(__file__).parent / "golden" / "programs.digest"
+WITNESSES_DIGEST = Path(__file__).parent / "golden" / "witnesses.digest"
 GOLDEN_SEEDS = range(50)
 DIGEST_SEEDS = range(200)
 BUDGET = 3_000
@@ -99,11 +114,39 @@ def effect_wf_digest(seeds=GOLDEN_SEEDS) -> str:
     return h.hexdigest()
 
 
+def programs_digest() -> str:
+    """One sha256 over the pretty text of every generated program, for
+    depths 1, 4 and 8 and seeds 0-299."""
+    h = hashlib.sha256()
+    for depth in (1, 4, 8):
+        for seed in range(300):
+            prog = generate(GenConfig(seed=seed, max_depth=depth))
+            h.update(pretty_program(prog).encode())
+    return h.hexdigest()
+
+
+def witnesses_digest() -> str:
+    """One sha256 over the hunt for each planted bug from start seeds 0,
+    1000 and 2000: where it aborted, after how many runs, and the shrunk
+    counterexample."""
+    h = hashlib.sha256()
+    for seed in (0, 1000, 2000):
+        for bug in sorted(KNOWN_BUGS):
+            res = campaign(1000, GenConfig(seed=seed, max_depth=8),
+                           budget=10_000, bugs=frozenset({bug}))
+            h.update(f"{seed} {bug} {res.abort_seed} {res.runs}\n"
+                     f"{res.counterexample}\n".encode())
+    return h.hexdigest()
+
+
+DIGESTS = {"--digest": digest, "--programs": programs_digest,
+           "--witnesses": witnesses_digest}
+
 if __name__ == "__main__":
     if sys.argv[1:] == ["--write"]:
         RUNS_TXT.write_text("\n".join(run_lines()) + "\n")
         EFFECT_WF_DIGEST.write_text(effect_wf_digest() + "\n")
-    elif sys.argv[1:] == ["--digest"]:
-        print(digest())
+    elif len(sys.argv) == 2 and sys.argv[1] in DIGESTS:
+        print(DIGESTS[sys.argv[1]]())
     else:
         raise SystemExit(__doc__)

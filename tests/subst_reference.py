@@ -272,16 +272,22 @@ class SubstRunner:
                 evolved = check_effect_wf(self.gammas, eff,
                                           self.prog.classes)
                 if evolved is None:
-                    return RunResult(
-                        Verdict.VIOLATION, self.steps,
-                        f"effect {eff} rejected by wf-eff")
+                    return self._violation(
+                        eff, f"effect {eff} rejected by wf-eff")
                 self.gammas = evolved
                 if self.check == "each-step":
                     report = check_config_wf(self.gammas, self.machine)
                     verdict_ok = report["verdict"]
                     if not verdict_ok:
-                        return RunResult(Verdict.VIOLATION, self.steps,
-                                         "invariant violation", report)
+                        return self._violation(eff, "invariant violation",
+                                               report)
             if self.observer is not None:
                 self.observer(self.steps, eff, verdict_ok)
             self.de = succ
+
+    def _violation(self, eff: Effect, detail: str,
+                   report: Optional[dict] = None) -> RunResult:
+        """A step that a check rejected, shown to the observer first."""
+        if self.observer is not None:
+            self.observer(self.steps, eff, False)
+        return RunResult(Verdict.VIOLATION, self.steps, detail, report)

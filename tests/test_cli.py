@@ -112,6 +112,22 @@ def test_trace_lines_are_json_with_expected_keys():
         assert rec["verdict"] == "ok"
 
 
+def test_trace_shows_the_violating_step_and_its_report():
+    args = ("tests/golden/skip-bury.witness", "--invariant-check",
+            "each-step", "--bugs", "skip-bury")
+    p = _cli("trace", *args)
+    assert p.returncode == 3
+    assert p.stderr == "violation after 2 steps: invariant violation\n"
+    *steps, report = [json.loads(ln) for ln in p.stdout.splitlines()]
+    assert [rec["step"] for rec in steps] == [1, 2]
+    assert [rec["verdict"] for rec in steps] == ["ok", "violation"]
+    # The same report that run prints after its summary line.
+    run = _cli("run", *args)
+    assert run.returncode == 3
+    assert report == json.loads(run.stderr.split("\n", 1)[1])
+    assert report["verdict"] is False and report["violations"]
+
+
 @pytest.mark.parametrize("name", [
     "listing1", "store_accept", "bridge_swap", "deep_freeze",
     "merge_nested", "explore", "reenter_open"])

@@ -1,13 +1,15 @@
 """Program generator, differential soundness runs, shrinking, campaigns."""
 import pytest
 
+from dataclasses import replace
+
 from reggio.command import TandemRunner, Verdict
-from reggio.fuzz import (CampaignResult, GenConfig, _unused_sites,
-                         _rebuild, _used_decls, campaign, generate, shrink,
-                         soundness_run)
+from reggio.fuzz import (CampaignResult, GenConfig, _remove_capture,
+                         _remove_let, _unused_sites, _rebuild, _used_decls,
+                         campaign, generate, shrink, soundness_run)
 from reggio.syntax import (Assign, Call, Deref, Enter, Freeze, Let, LVal,
                            Merge, New, TypeTest, Use, VarAlloc, parse_program,
-                           pretty_program)
+                           pretty_expr, pretty_program, rebuild, walk)
 from reggio.typecheck import TypeCheckError, check_program
 
 
@@ -166,6 +168,71 @@ def test_unused_sites_with_reused_names():
     main = parse_program(src).main
     assert _unused_sites(main) == _sites_by_rescan(main)
     assert _unused_sites(main) == ([10, 17], [(9, 0), (9, 2)])
+
+
+# The shrinker's removals by their first definition: a rebuild pass that
+# visits every node of the tree.  Kept here as the oracle for
+# fuzz._remove_let and fuzz._remove_capture, which copy only the path from
+# the root to the site.
+
+def _remove_let_by_rebuild(e, target):
+    return rebuild(e, lambda x, i: x.body if i == target else x)
+
+
+def _remove_capture_by_rebuild(e, target):
+    enter, k = target
+
+    def visit(x, i):
+        if i != enter:
+            return x
+        return replace(x, captures=x.captures[:k] + x.captures[k + 1:])
+
+    return rebuild(e, visit)
+
+
+def _subtree_ends(e):
+    """Each node's preorder index -> the index of its subtree's last node."""
+    ends, last = {}, -1
+    for _, index, kids, k in walk(e):
+        last = max(last, index)
+        if k == len(kids):
+            ends[index] = last
+    return ends
+
+
+def test_path_copy_removal_matches_rebuild_oracle():
+    removed = [0, 0]
+    for seed in range(100):
+        main = generate(GenConfig(seed=seed)).main
+        lets, captures = _unused_sites(main)
+        nodes = {index: x for x, index, _, k in walk(main) if k == 0}
+        ends = _subtree_ends(main)
+        for site in lets + captures:
+            if isinstance(site, int):
+                target = site
+                got = _remove_let(main, site)
+                want = _remove_let_by_rebuild(main, site)
+                # The let and its binding leave the tree; nothing is new
+                # but the copied path.
+                gone = set(range(target, ends[target + 1] + 1))
+                made = 0
+                removed[0] += 1
+            else:
+                target = site[0]
+                got = _remove_capture(main, site)
+                want = _remove_capture_by_rebuild(main, site)
+                gone, made = {target}, 1  # the enter, remade
+                removed[1] += 1
+            assert pretty_expr(got) == pretty_expr(want), (seed, site)
+            path = {i for i in nodes if i < target and ends[i] >= target}
+            got_ids = {id(x) for x, _, _, k in walk(got) if k == 0}
+            old_ids = {id(x) for x in nodes.values()}
+            # Every subtree off the path is shared by identity, and only
+            # the path is copied.
+            assert all(id(x) in got_ids for i, x in nodes.items()
+                       if i not in path and i not in gone), (seed, site)
+            assert len(got_ids - old_ids) == len(path) + made, (seed, site)
+    assert min(removed) > 0
 
 
 def test_used_decls_follow_every_leaf_of_a_union():
