@@ -205,6 +205,31 @@ class RunResult:
     report: Optional[dict] = None
 
 
+@dataclass(slots=True)
+class Snapshot:
+    """A run's state between two steps (TandemRunner.snapshot), with the
+    control and each frame's body held as their preorder indices in main:
+    stack pairs a copy of each frame with its body's index."""
+
+    steps: int
+    counter: int  # the fresh-name counter
+    control: int
+    env: dict[str, str]
+    stack: list[tuple[LetFrame | EnteredFrame, int]]
+    gammas: Optional[ContextStack]
+    machine: Machine
+    fragments: Optional[Fragments]
+
+
+def _copy_frame(frame: LetFrame | EnteredFrame,
+                body: Expr) -> LetFrame | EnteredFrame:
+    """frame with body and its own environment, which a return writes."""
+    if type(frame) is LetFrame:
+        return LetFrame(frame.name, body, dict(frame.env))
+    return EnteredFrame(frame.name, body, dict(frame.env), frame.target,
+                        frame.bridge)
+
+
 class TandemRunner:
     """Advances the command and region machines with one agreed effect.
 
@@ -352,6 +377,41 @@ class TandemRunner:
         self.env = env
         self.control = sig.body
         return Bind(tuple(pairs))
+
+    # -- snapshots -----------------------------------------------------------------
+
+    def snapshot(self, index: dict[int, int]) -> Optional[Snapshot]:
+        """The run's state, or None unless the control and every frame's
+        body are nodes of main, which index maps by id to their preorder
+        indices.  The machine and the summaries are cloned; the context
+        stack is shared, as no check writes the stack it is given."""
+        control = index.get(id(self.control))
+        stack = [(_copy_frame(f, f.body), index.get(id(f.body)))
+                 for f in self.stack]
+        if control is None or any(i is None for _, i in stack):
+            return None
+        copies: dict[int, object] = {}
+        machine = self.machine.clone(copies)
+        fragments = (None if self.fragments is None
+                     else self.fragments.clone(copies))
+        return Snapshot(self.steps, self.names.counter, control,
+                        dict(self.env), stack, self.gammas, machine,
+                        fragments)
+
+    def resume(self, snap: Snapshot, node: Callable[[int], Expr]) -> None:
+        """Go on from snap, taken with the same check mode and bugs, where
+        node(i) is this runner's node for index i of the snapshot's main.
+        The run reaches the snapshot's state if its main differs only in
+        nodes that control had not reached (see fuzz.shrink)."""
+        self.steps, self.names.counter = snap.steps, snap.counter
+        self.control = node(snap.control)
+        self.env = dict(snap.env)
+        self.stack = [_copy_frame(f, node(i)) for f, i in snap.stack]
+        self.gammas = snap.gammas
+        copies: dict[int, object] = {}
+        self.machine = snap.machine.clone(copies)
+        if snap.fragments is not None:
+            self.fragments = snap.fragments.clone(copies)
 
     # -- driving -------------------------------------------------------------------
 

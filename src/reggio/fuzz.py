@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
-from .command import TandemRunner, Verdict
+from .command import Snapshot, TandemRunner, Verdict
 from .model import (Cap, CapType, CellHead, ClassName, ClassTable, FunSig,
                     FunctionTable, Type, UnionType, cap_in, cap_not_in,
                     fresult, leaves, make_cell, make_imm, make_iso, make_mut,
@@ -521,22 +521,105 @@ def generate(cfg: GenConfig) -> Program:
 # ---------------------------------------------------------------------------
 
 def soundness_run(prog: Program, budget: int = 10_000,
-                  bugs: frozenset[str] = frozenset()
+                  bugs: frozenset[str] = frozenset(),
+                  start: Optional[Callable[[TandemRunner], None]] = None
                   ) -> tuple[Verdict, str]:
+    """The verdict and detail of prog's each-step run.  start, if given,
+    is called with the runner before it runs: it may resume the runner
+    from a snapshot and set its observer."""
     runner = TandemRunner(prog, check="each-step", budget=budget, bugs=bugs)
+    if start is not None:
+        start(runner)
     result = runner.run()
     return result.verdict, result.detail or ""
 
 
-def _triggers(prog: Program, budget: int, bugs: frozenset[str]) -> bool:
-    """The shrinker's predicate; shrink has type checked prog already."""
-    verdict, _ = soundness_run(prog, budget, bugs)
-    return verdict in (Verdict.STUCK, Verdict.VIOLATION)
+_TRIPPED = (Verdict.STUCK, Verdict.VIOLATION)
+
+
+class Trips:
+    """Whether a program trips the planted bugs: its each-step run ends
+    stuck or in violation.
+
+    As shrink's predicate it resumes each candidate's run (see shrink)
+    from the snapshot of the current program's run with the largest index
+    at or before the edit, of those it keeps, at most one per mark of the
+    current tree.  A run snapshots at the marks it passes up to its edit
+    and at the first one after it, where the next candidate most often
+    starts, and then stops: the next accepted edit leaves the later states
+    behind, and a snapshot costs about what a checked step does.  When
+    shrink accepts a candidate, the snapshots before its edit carry over
+    and its own join them."""
+
+    def __init__(self, budget: int, bugs: frozenset[str]) -> None:
+        self.budget, self.bugs = budget, bugs
+        self.snaps: dict[int, Snapshot] = {}  # by the control's index
+        self.taken: dict[int, Snapshot] = {}  # by the last run
+
+    def __call__(self, prog: Program, tree: Optional[_Tree] = None) -> bool:
+        """Whether prog trips; given prog's tree, run as shrink's
+        candidate."""
+        start = None if tree is None else self._start(tree)
+        verdict, _ = soundness_run(prog, self.budget, self.bugs, start)
+        return verdict in _TRIPPED
+
+    def _start(self, tree: _Tree) -> Callable[[TandemRunner], None]:
+        j, size = tree.edit
+        base = max((i for i in self.snaps if i <= j), default=None)
+        nodes, index, marks = tree.nodes, tree.index, tree.marks()
+        taken = self.taken = {}
+
+        def start(runner: TandemRunner) -> None:
+            if base is not None:
+                runner.resume(self.snaps[base],
+                              lambda i: nodes[i - size * (i > j)])
+
+            def observe(steps: int, eff, ok: Optional[bool]) -> None:
+                i = marks.get(id(runner.control))
+                if i is not None and ok and (snap := runner.snapshot(index)):
+                    taken[i] = snap
+                    if i > j:
+                        runner.observer = None
+            runner.observer = observe
+        return start
+
+    def accept(self, tree: _Tree) -> None:
+        """The program of tree, the last one run, is now the current one."""
+        j, size = tree.edit
+        snaps = {i: replace(snap, stack=[
+            (f, b - size * (b > j)) for f, b in snap.stack])
+            for i, snap in self.snaps.items() if i <= j}
+        self.snaps = {**snaps, **self.taken}
 
 
 # ---------------------------------------------------------------------------
 # Shrinking
 # ---------------------------------------------------------------------------
+
+def _mentions(x: Expr) -> tuple[str, ...]:
+    """The names node x mentions itself, not through its children."""
+    kind = type(x)
+    if kind is Use:
+        return (x.name,)
+    if kind is Let:
+        return ()
+    if kind is Enter:
+        return (x.target.name, *(u.name for _y, u in x.captures))
+    if kind is TypeTest:
+        return (x.use.name,)
+    if kind is Deref:
+        return (x.target.name,)
+    if kind is Assign:
+        return (x.target.name, x.use.name)
+    if kind is VarAlloc or kind is Freeze or kind is Merge:
+        return (x.use.name,)
+    return tuple(a.name for a in x.args)  # New, Call
+
+
+def _names_in(e: Expr) -> set[str]:
+    """The names the nodes of e mention."""
+    return {n for x, _, _, k in walk(e) if k == 0 for n in _mentions(x)}
+
 
 def _unused_sites(e: Expr) -> tuple[list[int], list[tuple[int, int]]]:
     """The shrinker's removal sites in e, found in one bottom-up pass.
@@ -544,71 +627,151 @@ def _unused_sites(e: Expr) -> tuple[list[int], list[tuple[int, int]]]:
     Let sites are the preorder indices of Let nodes whose bound name does
     not occur in their body; capture sites are (enter-index,
     capture-position) pairs, in preorder, for captures whose name does not
-    occur in the enter's body.  A name occurs in an expression when a Use
-    or LVal in it mentions the name, which over-approximates its free
+    occur in the enter's body.  A name occurs in an expression when a node
+    in it mentions the name (_mentions), which over-approximates its free
     names."""
     lets: list[int] = []
     captures: list[tuple[int, int]] = []
 
     def names(x: Expr, index: int, kids: list[set[str]]) -> set[str]:
         # A fresh set that the caller may extend.
-        if isinstance(x, Let):
+        kind = type(x)
+        if kind is Let:
             binding, body = kids
             if x.name not in body:
                 lets.append(index)
             body |= binding
             return body
-        if isinstance(x, Enter):
+        if kind is Enter:
             (body,) = kids
             captures.extend((index, i) for i, (y, _u) in enumerate(x.captures)
                             if y not in body)
-            body.add(x.target.name)
-            body.update(u.name for _y, u in x.captures)
-            return body
-        if isinstance(x, TypeTest):
-            then, els = kids
-            then |= els
-            then.add(x.use.name)
-            return then
-        if isinstance(x, Use):
-            return {x.name}
-        if isinstance(x, Deref):
-            return {x.target.name}
-        if isinstance(x, Assign):
-            return {x.target.name, x.use.name}
-        if isinstance(x, (VarAlloc, Freeze, Merge)):
-            return {x.use.name}
-        return {a.name for a in x.args}  # New, Call
+        elif kind is TypeTest:
+            body, els = kids
+            body |= els
+        else:
+            return set(_mentions(x))
+        body.update(_mentions(x))
+        return body
 
     fold(e, names)
     return sorted(lets), sorted(captures)
 
 
-def _change_at(e: Expr, target: int, change: Callable[[Expr], Expr]) -> Expr:
-    """e with the node at preorder index target replaced by change(node);
-    the walk stops there, and only the path to it is copied."""
-    path = []  # (ancestor, its kids, the kid on the path)
+def _change_path(e: Expr, target: int, change: Callable[[Expr], Expr]
+                 ) -> tuple[Expr, list[tuple[int, Expr, Optional[int]]]]:
+    """e with the node at preorder index target replaced by change(node),
+    and the path to it in the result: (index, node, the kid on the path)
+    for each ancestor, root first, then (target, change(node), None).  The
+    walk stops at target, and only the path is copied."""
+    path = []  # (ancestor, its index, its kids, the kid on the path)
     for node, index, kids, k in walk(e):
         if k:
             path.pop()  # back from kid k - 1
         if index == target:
             break
         if k < len(kids):
-            path.append((node, kids, k))
+            path.append((node, index, kids, k))
     e = change(node)
-    for node, kids, k in reversed(path):
+    copied: list[tuple[int, Expr, Optional[int]]] = [(target, e, None)]
+    for node, index, kids, k in reversed(path):
         e = _with_children(node, [*kids[:k], e, *kids[k + 1:]])
-    return e
+        copied.append((index, e, k))
+    copied.reverse()
+    return e, copied
+
+
+def _removal(site: int | tuple[int, int]
+             ) -> tuple[int, Callable[[Expr], Expr]]:
+    """The index of the node that removing site changes, and the change."""
+    if isinstance(site, int):
+        return site, lambda x: x.body
+    enter, k = site
+    return enter, lambda x: replace(
+        x, captures=x.captures[:k] + x.captures[k + 1:])
 
 
 def _remove_let(e: Expr, target: int) -> Expr:
-    return _change_at(e, target, lambda x: x.body)
+    return _change_path(e, *_removal(target))[0]
 
 
 def _remove_capture(e: Expr, target: tuple[int, int]) -> Expr:
-    enter, k = target
-    return _change_at(e, enter, lambda x: replace(
-        x, captures=x.captures[:k] + x.captures[k + 1:]))
+    return _change_path(e, *_removal(target))[0]
+
+
+class _Tree:
+    """A main as the shrinker keeps it: its nodes in preorder, the index of
+    each by id (none if a node occurs twice), its removal sites
+    (_unused_sites), and the edit that made it from its parent's: the
+    index j of the node removed or changed and the number of nodes
+    removed, so that a parent's index i > j is i - size here."""
+
+    def __init__(self, main: Expr, nodes: list[Expr], lets: list[int],
+                 captures: list[tuple[int, int]],
+                 edit: tuple[int, int] = (-1, 0),
+                 path: Sequence[tuple[int, Expr, Optional[int]]] = (),
+                 removed: Optional[Expr] = None) -> None:
+        self.main, self.nodes = main, nodes
+        self.lets, self.captures = lets, captures
+        self.edit, self.path, self.removed = edit, path, removed
+        index = {id(x): i for i, x in enumerate(nodes)}
+        self.index = index if len(index) == len(nodes) else {}
+
+    @staticmethod
+    def of(main: Expr) -> _Tree:
+        return _Tree(main, [x for x, _, _, k in walk(main) if k == 0],
+                     *_unused_sites(main))
+
+    def marks(self) -> dict[int, int]:
+        """Where a run snapshots, by the node's id: each let site, and the
+        let whose binding is an enter with a capture site."""
+        marks = ([*self.lets, *(e - 1 for e, _ in self.captures)]
+                 if self.index else [])
+        return {id(self.nodes[i]): i for i in marks}
+
+    def without(self, site: int | tuple[int, int]) -> _Tree:
+        """The tree with site removed.  Its sites are this tree's, past the
+        edit shifted, less those removed; add_freed_sites adds the ones the
+        removal may have freed."""
+        j, change = _removal(site)
+        main, path = _change_path(self.main, j, change)
+        nodes, lets, captures = self.nodes, self.lets, self.captures
+        if isinstance(site, int):
+            removed = nodes[j].binding
+            size = 1 + sum(k == 0 for _, _, _, k in walk(removed))
+            gone = range(j, j + size)
+            nodes = nodes[:j] + nodes[j + size:]
+            lets = [i - size * (i > j) for i in lets if i not in gone]
+            captures = [(e - size * (e > j), k) for e, k in captures
+                        if e not in gone]
+        else:
+            removed, size = nodes[j].captures[site[1]][1], 0
+            nodes, lets = nodes[:], lets[:]
+            captures = [(e, k - (e == j and k > site[1]))
+                        for e, k in captures if (e, k) != site]
+        for i, x, _ in path:
+            nodes[i] = x
+        return _Tree(main, nodes, lets, captures, (j, size), path, removed)
+
+    def add_freed_sites(self) -> None:
+        """Add the sites that the edit freed: the lets and the captures of
+        enters on the path to it whose name the removed binding or capture
+        use mentioned, and that their body no longer mentions."""
+        lost = _names_in(self.removed)
+        lets, captures = self.lets, self.captures
+        for i, x, k in self.path:
+            if type(x) is Let and k == 1:
+                if (x.name in lost and i not in lets
+                        and x.name not in _names_in(x.body)):
+                    lets.append(i)
+            elif type(x) is Enter and k == 0:
+                ys = [(c, y) for c, (y, _u) in enumerate(x.captures)
+                      if y in lost and (i, c) not in captures]
+                if ys:
+                    body = _names_in(x.body)
+                    captures.extend((i, c) for c, y in ys if y not in body)
+        lets.sort()
+        captures.sort()
 
 
 def _used_decls(prog: Program) -> tuple[list[str], list[str]]:
@@ -675,30 +838,52 @@ def shrink(prog: Program,
     Every program passed to the predicate has type checked, so the
     predicate need not check it again.  Candidates keep the declarations,
     which neither type checking nor a run reads unless main names them;
-    the unused ones are pruned once, from the result."""
+    the unused ones are pruned once, from the result.
+
+    A candidate differs from the current program only at its edit: one
+    let or capture removed.  Control moves forward through main in
+    preorder (main has no loops, calls return to it, and a failed enter
+    unwinds forward), so up to the edit a candidate's run repeats the
+    current program's.  A Trips predicate resumes it from a snapshot of
+    the current program's run taken at or before the edit: the step
+    count, the fresh-name counter, the environment and continuation
+    stack, the context stack (shared), and clones of the machine and the
+    fast path's summaries, with every node of main held as its preorder
+    index.  Any other predicate runs each candidate from the start."""
     try:
         check_program(prog)
     except TypeCheckError:
         return prog
-    if not predicate(prog):
+    resumes = isinstance(predicate, Trips)
+
+    def test(p: Program, t: _Tree) -> bool:
+        if not (predicate(p, t) if resumes else predicate(p)):
+            return False
+        if resumes:
+            predicate.accept(t)
+        return True
+
+    tree = _Tree.of(prog.main)
+    if not test(prog, tree):
         return prog
     current = prog
     progress = True
     while progress:
         progress = False
-        let_sites, capture_sites = _unused_sites(current.main)
-        candidates = ([(_remove_let, site) for site in let_sites]
-                      + [(_remove_capture, site) for site in capture_sites])
-        for remove, site in candidates:
-            cand = replace(current, main=remove(current.main, site))
+        for site in tree.lets + tree.captures:
+            cand_tree = tree.without(site)
+            cand = replace(current, main=cand_tree.main)
             try:
                 check_program(cand)
             except TypeCheckError:
                 continue
-            if predicate(cand):
-                current = cand
+            if test(cand, cand_tree):
+                current, tree = cand, cand_tree
+                tree.add_freed_sites()
                 progress = True
                 break
+    if resumes:
+        predicate.snaps = predicate.taken = {}
     return _rebuild(current, current.main)
 
 
@@ -739,7 +924,7 @@ def campaign(n: int, cfg: GenConfig, budget: int = 10_000,
         elif verdict is Verdict.BUDGET:
             result.budget_outs += 1
         else:
-            small = shrink(prog, lambda p: _triggers(p, budget, bugs))
+            small = shrink(prog, Trips(budget, bugs))
             result.abort_seed = sub.seed
             result.abort_detail = f"{verdict.value}: {detail}"
             result.counterexample = pretty_program(small)

@@ -583,6 +583,23 @@ class Fragments:
         self.frame_of: dict[int, Frame] = {}  # region -> its frame
         self.gammas: list[Gamma] = []
 
+    def clone(self, copies: dict[int, object]) -> Fragments:
+        """The summaries for a clone of the machine, where copies maps the
+        id of each of its frames and objects to the copy (Machine.clone).
+        Fragments, the region order and the contexts are shared: nothing
+        changes them once made but a fragment's cache of refs by source."""
+        new = object.__new__(Fragments)
+        new.effect, new.rho = self.effect, self.rho
+        new.frags, new.where = self.frags.copy(), self.where.copy()
+        new.status, new.external = self.status.copy(), self.external.copy()
+        new.objects = {i: copies[id(o)] for i, o in self.objects.items()}
+        new.ids = {s: set(rs) for s, rs in self.ids.items()}
+        new.into = {r: set(keys) for r, keys in self.into.items()}
+        new.frames = [copies[id(f)] for f in self.frames]
+        new.frame_of = {r: copies[id(f)] for r, f in self.frame_of.items()}
+        new.gammas = self.gammas[:]
+        return new
+
     def passes(self, gammas: Optional[ContextStack], m: Machine) -> bool:
         """True if the configuration is well formed; False if the spec
         must decide.  A False leaves the summaries inconsistent, to be

@@ -227,6 +227,30 @@ class Machine:
         self.region_of: dict[int, int] = {}  # heap object id -> its region
         self._field_names: dict[str, list[str]] = {}  # class -> its fields
 
+    def clone(self, copies: dict[int, object]) -> Machine:
+        """A copy sharing nothing that a step changes: every frame, region
+        and object is new.  copies gains the id of each frame and object of
+        this machine, mapped to its copy."""
+
+        def store(objs: Store) -> Store:
+            out = {}
+            for iota, o in objs.items():
+                out[iota] = copies[id(o)] = Object(o.tag, o.fields.copy())
+            return out
+
+        m = object.__new__(Machine)
+        m.__dict__.update(self.__dict__)  # classes, bugs and the counters
+        m.frames = []
+        for f in self.frames:
+            copies[id(f)] = g = Frame(f.r, store(f.temps), f.vars.copy(),
+                                      f.entry, f.reinstate[:])
+            m.frames.append(g)
+        m.regions = {r: Region(g.state, store(g.store))
+                     for r, g in self.regions.items()}
+        m.region_of = self.region_of.copy()
+        m._field_names = self._field_names.copy()
+        return m
+
     # -- helpers ---------------------------------------------------------------
 
     def fresh_iota(self) -> int:

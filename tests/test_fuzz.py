@@ -3,10 +3,12 @@ import pytest
 
 from dataclasses import replace
 
+from reggio import fuzz
 from reggio.command import TandemRunner, Verdict
 from reggio.fuzz import (CampaignResult, GenConfig, _remove_capture,
                          _remove_let, _unused_sites, _rebuild, _used_decls,
                          campaign, generate, shrink, soundness_run)
+from reggio.machine import KNOWN_BUGS
 from reggio.syntax import (Assign, Call, Deref, Enter, Freeze, Let, LVal,
                            Merge, New, TypeTest, Use, VarAlloc, parse_program,
                            pretty_expr, pretty_program, rebuild, walk)
@@ -233,6 +235,32 @@ def test_path_copy_removal_matches_rebuild_oracle():
                        if i not in path and i not in gone), (seed, site)
             assert len(got_ids - old_ids) == len(path) + made, (seed, site)
     assert min(removed) > 0
+
+
+def test_incremental_sites_match_a_full_pass_in_the_hunts(monkeypatch):
+    """After every accepted removal of the 18 pinned hunts (start seeds 0,
+    1000 and 2000, each planted bug), the sites and nodes the shrinker
+    derives from the parent's are those of a pass over the new main."""
+    add = fuzz._Tree.add_freed_sites
+    seen = [0, 0]  # accepted removals, and those that freed a site
+
+    def checked(tree):
+        before = len(tree.lets) + len(tree.captures)
+        add(tree)
+        assert (tree.lets, tree.captures) == _unused_sites(tree.main)
+        nodes = [x for x, _, _, k in walk(tree.main) if k == 0]
+        assert len(nodes) == len(tree.nodes)
+        assert all(a is b for a, b in zip(nodes, tree.nodes))
+        seen[0] += 1
+        seen[1] += len(tree.lets) + len(tree.captures) > before
+
+    monkeypatch.setattr(fuzz._Tree, "add_freed_sites", checked)
+    for seed in (0, 1000, 2000):
+        for bug in sorted(KNOWN_BUGS):
+            res = campaign(1000, GenConfig(seed=seed), budget=10_000,
+                           bugs=frozenset({bug}))
+            assert res.counterexample is not None
+    assert seen[0] > 500 and seen[1] > 0
 
 
 def test_used_decls_follow_every_leaf_of_a_union():
