@@ -38,8 +38,11 @@ class FreshNames:
         self.counter = 0
 
     def fresh(self, base: str) -> str:
+        """base up to its first $, then $ and the next number."""
         self.counter += 1
-        return f"{base.split('$')[0]}${self.counter}"
+        if "$" in base:
+            base = base[:base.index("$")]
+        return f"{base}${self.counter}"
 
 
 # ---------------------------------------------------------------------------
@@ -47,32 +50,8 @@ class FreshNames:
 # ---------------------------------------------------------------------------
 
 def rename_use(u: Use, env: dict[str, str]) -> Use:
-    if u.name in env:
-        return replace(u, name=env[u.name])
-    return u
-
-
-def rename_lval(lv: LVal, env: dict[str, str]) -> LVal:
-    if lv.name in env:
-        return replace(lv, name=env[lv.name])
-    return lv
-
-
-def rename(b: Expr, env: dict[str, str]) -> Expr:
-    """A binder-free binding with its names renamed per env."""
-    kind = type(b)  # no syntax class has a subclass
-    if kind is Use:
-        return rename_use(b, env)
-    if kind is New:
-        return replace(b, args=tuple(rename_use(u, env) for u in b.args))
-    if kind is Deref:
-        return replace(b, target=rename_lval(b.target, env))
-    if kind is Assign:
-        return replace(b, target=rename_lval(b.target, env),
-                       use=rename_use(b.use, env))
-    if kind is VarAlloc or kind is Freeze or kind is Merge:
-        return replace(b, use=rename_use(b.use, env))
-    raise AssertionError(f"unhandled node {b!r}")
+    name = env.get(u.name)
+    return u if name is None else replace(u, name=name)
 
 
 def binder_count(e: Expr) -> int:
@@ -105,13 +84,14 @@ class LetFrame:
 
 @dataclass(slots=True)
 class EnteredFrame:
-    """let name = entered target bridge.val { [ ] } in body: an open region
-    awaiting its exit; target is already renamed."""
+    """let name = entered y.f bridge.val { [ ] } in body: an open region
+    awaiting its exit, entered through the field f of the runtime name y."""
 
     name: str
     body: Expr
     env: dict[str, str]
-    target: LVal
+    y: str
+    f: str
     bridge: str
 
 
@@ -167,25 +147,36 @@ def desugar_program(prog: Program) -> Program:
 # Effect synthesis and stepping
 # ---------------------------------------------------------------------------
 
-def synth_effect(x: str, b: Expr) -> Effect:
-    """The 11-row effect table for simple bound expressions."""
+def synth_effect(x: str, b: Expr,
+                 env: Optional[dict[str, str]] = None) -> Effect:
+    """The 11-row effect table for simple bound expressions.  Each name b
+    uses is renamed per env as the effect is filled; a name env does not
+    bind stands for itself."""
+    if env is None:
+        env = {}
     kind = type(b)
-    if kind is Use:
-        return Bind(((x, b),))
     if kind is New:
+        args = b.args
+        if args:
+            args = tuple([rename_use(u, env) for u in args])
         if b.cap is Cap.TMP:
-            return Salloc(x, Cap.TMP, b.cls, b.args)
-        return Halloc(x, b.cap, b.cls, b.args)
+            return Salloc(x, Cap.TMP, b.cls, args)
+        return Halloc(x, b.cap, b.cls, args)
+    if kind is Use:
+        return Bind(((x, rename_use(b, env)),))
     if kind is Deref:
-        return Load(x, b.target.name, b.target.field)
+        t = b.target
+        return Load(x, env.get(t.name, t.name), t.field)
     if kind is Assign:
-        return Swap(x, b.target.name, b.target.field, b.use)
+        t = b.target
+        return Swap(x, env.get(t.name, t.name), t.field,
+                    rename_use(b.use, env))
     if kind is VarAlloc:
-        return Salloc(x, Cap.VAR, "Cell", (b.use,))
+        return Salloc(x, Cap.VAR, "Cell", (rename_use(b.use, env),))
     if kind is Freeze:
-        return FreezeEff(x, b.use)
+        return FreezeEff(x, rename_use(b.use, env))
     if kind is Merge:
-        return MergeEff(x, b.use)
+        return MergeEff(x, rename_use(b.use, env))
     raise AssertionError(f"no effect row for {b!r}")
 
 
@@ -226,7 +217,7 @@ def _copy_frame(frame: LetFrame | EnteredFrame,
     """frame with body and its own environment, which a return writes."""
     if type(frame) is LetFrame:
         return LetFrame(frame.name, body, dict(frame.env))
-    return EnteredFrame(frame.name, body, dict(frame.env), frame.target,
+    return EnteredFrame(frame.name, body, dict(frame.env), frame.y, frame.f,
                         frame.bridge)
 
 
@@ -266,8 +257,10 @@ class TandemRunner:
 
     # -- redex selection ---------------------------------------------------------
 
-    def _step(self) -> Effect:
-        """Move to the next redex and reduce it; returns its effect.
+    def _step(self) -> Optional[Effect]:
+        """Move to the next redex and reduce it; returns its effect, or None
+        if the run has ended: the control is a value or a failure, with an
+        empty stack.
 
         Fresh names are allocated in the order of the substituting
         semantics: a let reached with a let frame on top is where that
@@ -278,7 +271,7 @@ class TandemRunner:
             kind = type(c)
             if kind is Let:
                 if stack and type(stack[-1]) is LetFrame:
-                    names.fresh(c.name)
+                    names.counter += 1
                 b = c.binding
                 kind = type(b)
                 if kind is Let or kind is TypeTest:
@@ -290,15 +283,18 @@ class TandemRunner:
                 if kind is Enter:
                     return self._step_enter(c, b)
                 x2 = names.fresh(c.name)
-                eff = synth_effect(x2, rename(b, self.env))
-                self.env[c.name] = x2
+                env = self.env
+                eff = synth_effect(x2, b, env)
+                env[c.name] = x2
                 self.control = c.body
                 return eff
             if kind is Use:
-                return self._step_return(c)
+                return self._step_return(c) if stack else None
             if kind is TypeTest:
                 return self._step_typetest(c)
             if c is FAILURE:
+                if not stack:
+                    return None
                 # One Eps step collapses each entered frame.
                 stack.pop()
                 self._unwind()
@@ -309,12 +305,11 @@ class TandemRunner:
         """The value of the top frame's hole is u: bind it or exit."""
         frame = self.stack.pop()
         x2 = self.names.fresh(frame.name)
-        u = rename_use(u, self.env)
         if type(frame) is LetFrame:
-            eff = synth_effect(x2, u)
+            eff = synth_effect(x2, u, self.env)
         else:
-            t = frame.target
-            eff = ExitEff(x2, u, t.name, t.field, frame.bridge, "val")
+            eff = ExitEff(x2, rename_use(u, self.env), frame.y, frame.f,
+                          frame.bridge, "val")
         self.env = frame.env
         self.env[frame.name] = x2
         self.control = frame.body
@@ -330,25 +325,25 @@ class TandemRunner:
         if b.explore:
             b = desugar_explore(b)
         env = self.env
-        target = rename_lval(b.target, env)
-        fld = target.field
-        if not self.machine.enter_enabled(target.name, fld):
+        t = b.target
+        y, f = env.get(t.name, t.name), t.field
+        if not self.machine.enter_enabled(y, f):
             self.control = FAILURE
             self._unwind()
-            return BadEnter(target.name, fld)
+            return BadEnter(y, f)
         inner = dict(env)
         captures = []
-        for y, u in b.captures:
-            y2 = self.names.fresh(y)
-            inner[y] = y2
-            captures.append((y2, rename_use(u, env)))
+        for z, u in b.captures:
+            z2 = self.names.fresh(z)
+            inner[z] = z2
+            captures.append((z2, rename_use(u, env)))
         w2 = self.names.fresh(b.binder)
         inner[b.binder] = w2
-        self.stack.append(EnteredFrame(c.name, c.body, env, target, w2))
+        self.stack.append(EnteredFrame(c.name, c.body, env, y, f, w2))
         self.env = inner
         self.control = b.body
-        cap = Cap.TMP if target.fld is not None else Cap.VAR
-        return EnterEff(w2, cap, target.name, fld, tuple(captures))
+        cap = Cap.TMP if t.fld is not None else Cap.VAR
+        return EnterEff(w2, cap, y, f, tuple(captures))
 
     def _step_typetest(self, b: TypeTest) -> Effect:
         y2 = self.names.fresh(b.binder)
@@ -417,50 +412,58 @@ class TandemRunner:
 
     def run(self) -> RunResult:
         from .invariants import check_config_wf, check_effect_wf
-        while True:
-            if not self.stack:
-                if isinstance(self.control, Use):
-                    if self.check == "final":
-                        report = check_config_wf(self.gammas, self.machine)
-                        if not report["verdict"]:
-                            return RunResult(Verdict.VIOLATION, self.steps,
-                                             "final state ill-formed",
-                                             report)
-                    return self._end(Verdict.DONE, str(
-                        rename_use(self.control, self.env)))
-                if self.control is FAILURE:
-                    return self._end(Verdict.FAILED, "badenter")
-            if self.steps >= self.budget:
-                return self._end(Verdict.BUDGET)
+        step, step_effect = self._step, self.machine.step_effect
+        checking, fragments = self._checking, self.fragments
+        classes, budget = self.prog.classes, self.budget
+        while self.steps < budget:
             try:
-                eff = self._step()
+                eff = step()
             except Stuck as exc:
                 return RunResult(Verdict.STUCK, self.steps,
                                  f"command machine: {exc}")
+            if eff is None:
+                return self._halt()
             try:
-                self.machine.step_effect(eff)
+                step_effect(eff)
             except Stuck as exc:
                 return RunResult(Verdict.STUCK, self.steps,
                                  f"region machine: {exc}")
             self.steps += 1
             verdict_ok = None
-            if self._checking:
-                evolved = check_effect_wf(self.gammas, eff,
-                                          self.prog.classes)
+            if checking:
+                evolved = check_effect_wf(self.gammas, eff, classes)
                 if evolved is None:
                     return self._violation(
                         eff, f"effect {eff} rejected by wf-eff")
                 self.gammas = evolved
-                if self.fragments is not None:
-                    self.fragments.effect = eff
-                    report = check_config_wf(self.gammas, self.machine,
-                                             self.fragments)
+                if fragments is not None:
+                    fragments.effect = eff
+                    report = check_config_wf(evolved, self.machine,
+                                             fragments)
                     verdict_ok = report["verdict"]
                     if not verdict_ok:
                         return self._violation(eff, "invariant violation",
                                                report)
             if self.observer is not None:
                 self.observer(self.steps, eff, verdict_ok)
+        c = self.control
+        if not self.stack and (type(c) is Use or c is FAILURE):
+            return self._halt()
+        return self._end(Verdict.BUDGET)
+
+    def _halt(self) -> RunResult:
+        """The result of a run whose control is a value or a failure, with
+        an empty stack."""
+        if self.control is FAILURE:
+            return self._end(Verdict.FAILED, "badenter")
+        if self.check == "final":
+            from .invariants import check_config_wf
+            report = check_config_wf(self.gammas, self.machine)
+            if not report["verdict"]:
+                return RunResult(Verdict.VIOLATION, self.steps,
+                                 "final state ill-formed", report)
+        return self._end(Verdict.DONE,
+                         str(rename_use(self.control, self.env)))
 
     def _violation(self, eff: Effect, detail: str,
                    report: Optional[dict] = None) -> RunResult:

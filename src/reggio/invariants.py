@@ -25,7 +25,6 @@ from .machine import (CLOSED, FROZEN, OPEN, STATES, BadEnter, Bind, CastEff,
                       Effect, EnterEff, Eps, ExitEff, Frame, FreezeEff,
                       Halloc, Load, Machine, MergeEff, NoCastEff, Object,
                       Salloc, Store, Swap, V_UNDEF)
-from .syntax import Assign, Deref, Freeze, LVal, Merge, New, VarAlloc
 from .typecheck import UNDEF, Checker, Gamma, TypeCheckError
 
 
@@ -856,23 +855,23 @@ def check_effect_wf(gammas: ContextStack, eff: Effect,
                 gamma[x], _ = checker.check_use(gamma, u)
             return out
         if kind is Salloc and eff.cap is Cap.VAR and eff.cls == "Cell":
-            t, gamma = checker.check_var_alloc(gamma, VarAlloc(eff.uses[0]))
+            t, gamma = checker.check_var_alloc(gamma, eff.uses[0], (0, 0))
         elif kind is Halloc or kind is Salloc:
-            t, gamma = checker.check_new(gamma, New(eff.cap, eff.cls,
-                                                    eff.uses))
+            t, gamma = checker.check_new(gamma, eff.cap, eff.cls, eff.uses,
+                                         (0, 0))
         elif kind is Load:
-            t, gamma = checker.check_deref(gamma, Deref(LVal(eff.y, eff.f)))
+            t, gamma = checker.check_deref(gamma, eff.y, eff.f, (0, 0))
         elif kind is Swap:
             t_y = gamma.get(eff.y)
             bare = (eff.f == "val" and t_y is not None and t_y is not UNDEF
                     and cap_in({Cap.VAR}, t_y))
-            target = LVal(eff.y, None if bare else eff.f)
-            t, gamma = checker.check_assign(gamma, Assign(target, eff.use),
-                                            frozenset())
+            t, gamma = checker.check_assign(gamma, eff.y,
+                                            None if bare else eff.f,
+                                            eff.use, (0, 0), frozenset())
         elif kind is FreezeEff:
-            t, gamma = checker.check_freeze(gamma, Freeze(eff.use))
+            t, gamma = checker.check_freeze(gamma, eff.use, (0, 0))
         elif kind is MergeEff:
-            t, gamma = checker.check_merge(gamma, Merge(eff.use))
+            t, gamma = checker.check_merge(gamma, eff.use, (0, 0))
         elif kind is CastEff:
             _, gamma = checker.check_use(gamma, eff.use)
             t = eff.ty

@@ -23,6 +23,7 @@ from .syntax import Use
 Value = tuple[Cap, int]
 
 V_UNDEF = None  # buried variable binding
+_UNBOUND = object()  # no binding at all
 
 KNOWN_BUGS = frozenset({
     "exit-keep-temps",     # exit leaks the popped frame's temporary store
@@ -76,16 +77,20 @@ class Frame:
 
 # ---------------------------------------------------------------------------
 # Effects
+#
+# An effect is a value built once per tandem step.  Each kind is a slotted
+# dataclass, which builds in about a quarter of a frozen one's time; equality
+# still compares the kind first, and no code writes an effect once built.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Load:
     x: str
     y: str
     f: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Swap:
     x: str
     y: str
@@ -93,7 +98,7 @@ class Swap:
     use: Use
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Halloc:
     x: str
     cap: Cap  # mut or iso
@@ -101,7 +106,7 @@ class Halloc:
     uses: tuple[Use, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Salloc:
     x: str
     cap: Cap  # tmp or var
@@ -109,7 +114,7 @@ class Salloc:
     uses: tuple[Use, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class EnterEff:
     w: str
     cap: Cap  # tmp (field form) or var (cell form)
@@ -118,13 +123,13 @@ class EnterEff:
     captures: tuple[tuple[str, Use], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class BadEnter:
     y: str
     f: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ExitEff:
     x: str
     use: Use
@@ -134,38 +139,38 @@ class ExitEff:
     g: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class FreezeEff:
     x: str
     use: Use
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class MergeEff:
     x: str
     use: Use
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CastEff:
     x: str
     use: Use
     ty: object  # model.Type
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class NoCastEff:
     x: str
     use: Use
     ty: object
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Bind:
     pairs: tuple[tuple[str, Use], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Eps:
     pass
 
@@ -267,9 +272,9 @@ class Machine:
 
     def get(self, vars: dict[str, Optional[Value]], u: Use) -> Value:
         """Destructive/non-destructive variable read per the use form."""
-        if u.name not in vars:
+        v = vars.get(u.name, _UNBOUND)
+        if v is _UNBOUND:
             raise Stuck(f"get: unbound variable {u.name}")
-        v = vars[u.name]
         if v is V_UNDEF:
             raise Stuck(f"get: read of buried variable {u.name}")
         if u.drop:
@@ -281,7 +286,7 @@ class Machine:
         return v
 
     def peek(self, name: str) -> Value:
-        v = self.top.vars.get(name)
+        v = self.frames[-1].vars.get(name)
         if v is V_UNDEF or v is None:
             raise Stuck(f"peek: variable {name} is not bound")
         return v
@@ -348,7 +353,7 @@ class Machine:
 
     def cast_matches(self, name: str, ty) -> bool:
         """True iff the dynamic tag of the value bound to name subtags ty."""
-        v = self.top.vars.get(name)
+        v = self.frames[-1].vars.get(name)
         if v is V_UNDEF or v is None:
             raise Stuck(f"cast: variable {name} is not bound")
         obj = self.cfg_load(v[1], STATES)
@@ -365,12 +370,12 @@ class Machine:
         pass
 
     def _step_bind(self, eff: Bind) -> None:
-        top = self.top
+        top = self.frames[-1]
         for x, u in eff.pairs:
             top.vars[x] = self.get(top.vars, u)
 
     def _step_load(self, eff: Load) -> None:
-        top = self.top
+        top = self.frames[-1]
         k_y, iota_y = self.peek(eff.y)
         obj = self.cfg_load(iota_y, (OPEN, FROZEN))
         if obj is None:
@@ -384,7 +389,7 @@ class Machine:
         top.vars[eff.x] = (k, iota_f)
 
     def _step_swap(self, eff: Swap) -> None:
-        top = self.top
+        top = self.frames[-1]
         v_new = self.get(top.vars, eff.use)
         _, iota_y = self.peek(eff.y)
         obj = top.temps.get(iota_y)
@@ -399,7 +404,7 @@ class Machine:
         top.vars[eff.x] = old
 
     def _step_halloc(self, eff: Halloc) -> None:
-        top = self.top
+        top = self.frames[-1]
         vals = [self.get(top.vars, u) for u in eff.uses]
         iota = self.fresh_iota()
         obj = Object(eff.cls, self._fields_for(eff.cls, vals))
@@ -415,7 +420,7 @@ class Machine:
         top.vars[eff.x] = (eff.cap, iota)
 
     def _step_salloc(self, eff: Salloc) -> None:
-        top = self.top
+        top = self.frames[-1]
         vals = [self.get(top.vars, u) for u in eff.uses]
         iota = self.fresh_iota()
         if eff.cls == "Cell":
@@ -430,7 +435,7 @@ class Machine:
         top.vars[eff.x] = (eff.cap, iota)
 
     def _step_enter(self, eff: EnterEff) -> None:
-        top = self.top
+        top = self.frames[-1]
         new_vars: dict[str, Optional[Value]] = {}
         reinstate: list[tuple[str, Value]] = []
         for z, u in eff.captures:
@@ -478,7 +483,7 @@ class Machine:
         if cell is None or eff.g not in cell.fields:
             raise Stuck(f"exit: {eff.w}.{eff.g} does not name the cell")
         _, new_bridge = cell.fields[eff.g]
-        top = self.top
+        top = self.frames[-1]
         _, obj_y = self.bridge_holder("exit", eff.y, eff.f)
         k_f, _ = obj_y.fields[eff.f]
         if "exit-mut-writeback" in self.bugs:
@@ -512,7 +517,7 @@ class Machine:
         return seen - {r}
 
     def _step_freeze(self, eff: FreezeEff) -> None:
-        top = self.top
+        top = self.frames[-1]
         k, iota = self.get(top.vars, eff.use)
         if k is not Cap.ISO:
             raise Stuck(f"freeze: expected an iso value, got {k}")
@@ -527,7 +532,7 @@ class Machine:
         top.vars[eff.x] = (Cap.IMM, iota)
 
     def _step_merge(self, eff: MergeEff) -> None:
-        top = self.top
+        top = self.frames[-1]
         k, iota = self.get(top.vars, eff.use)
         if k is not Cap.ISO:
             raise Stuck(f"merge: expected an iso value, got {k}")
@@ -541,7 +546,7 @@ class Machine:
 
     def _step_cast(self, eff: CastEff | NoCastEff) -> None:
         """Either outcome of a type test rebinds the value unchanged."""
-        top = self.top
+        top = self.frames[-1]
         top.vars[eff.x] = self.get(top.vars, eff.use)
 
     # -- reporting ---------------------------------------------------------------

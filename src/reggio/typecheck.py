@@ -143,17 +143,18 @@ class Checker:
         if isinstance(e, Use):
             return self.check_use(gamma, e)
         if isinstance(e, Deref):
-            return self.check_deref(gamma, e)
+            return self.check_deref(gamma, e.target.name, e.target.fld, e.pos)
         if isinstance(e, Assign):
-            return self.check_assign(gamma, e, adjacent)
+            return self.check_assign(gamma, e.target.name, e.target.fld,
+                                     e.use, e.pos, adjacent)
         if isinstance(e, VarAlloc):
-            return self.check_var_alloc(gamma, e)
+            return self.check_var_alloc(gamma, e.use, e.pos)
         if isinstance(e, New):
-            return self.check_new(gamma, e)
+            return self.check_new(gamma, e.cap, e.cls, e.args, e.pos)
         if isinstance(e, Freeze):
-            return self.check_freeze(gamma, e)
+            return self.check_freeze(gamma, e.use, e.pos)
         if isinstance(e, Merge):
-            return self.check_merge(gamma, e)
+            return self.check_merge(gamma, e.use, e.pos)
         if isinstance(e, Call):
             return self._check_call(gamma, e)
         if isinstance(e, Enter):
@@ -197,130 +198,135 @@ class Checker:
                 del gamma[name]
         return t, gamma
 
-    def check_deref(self, gamma: Gamma, e: Deref) -> tuple[Type, Gamma]:
-        x, f = e.target.name, e.target.fld
+    def check_deref(self, gamma: Gamma, x: str, f: str | None,
+                    pos: Pos) -> tuple[Type, Gamma]:
+        """*x, or *x.f unless f is None."""
         if f is None:
-            t_x = self.lookup(gamma, x, "cmd-ty-deref-var", e.pos)
+            t_x = self.lookup(gamma, x, "cmd-ty-deref-var", pos)
             if not cap_in({Cap.VAR}, t_x):
                 _fail("cmd-ty-deref-var",
                       f"*{x} requires a var binding, got "
-                      f"{pretty_type(t_x)}", e.pos)
+                      f"{pretty_type(t_x)}", pos)
             t = fresult(t_x, "val", self.classes)
             if t is None:
                 _fail("cmd-ty-deref-var",
                       f"viewpoint adaptation of *{x} is undefined "
-                      f"(content of {pretty_type(t_x)} cannot be read)", e.pos)
+                      f"(content of {pretty_type(t_x)} cannot be read)", pos)
             return t, gamma
-        t_x = self.lookup(gamma, x, "cmd-ty-deref-field", e.pos)
+        t_x = self.lookup(gamma, x, "cmd-ty-deref-field", pos)
         if not cap_not_in({Cap.ISO}, t_x):
             _fail("cmd-ty-deref-field",
-                  f"receiver {x}: {pretty_type(t_x)} may not be iso", e.pos)
+                  f"receiver {x}: {pretty_type(t_x)} may not be iso", pos)
         t = fresult(t_x, f, self.classes)
         if t is None:
             _fail("cmd-ty-deref-field",
                   f"*{x}.{f} is undefined through {pretty_type(t_x)} "
-                  "(missing field or inaccessible viewpoint)", e.pos)
+                  "(missing field or inaccessible viewpoint)", pos)
         return t, gamma
 
-    def check_assign(self, gamma: Gamma, e: Assign,
-                     adjacent: frozenset[str]) -> tuple[Type, Gamma]:
-        x, f = e.target.name, e.target.fld
-        t_u, g2 = self.check_use(gamma, e.use)
+    def check_assign(self, gamma: Gamma, x: str, f: str | None, use: Use,
+                     pos: Pos, adjacent: frozenset[str]
+                     ) -> tuple[Type, Gamma]:
+        """x := use, or x.f := use unless f is None."""
+        t_u, g2 = self.check_use(gamma, use)
         if not cap_not_in({Cap.VAR}, t_u):
             _fail("cmd-ty-assign",
                   f"a var binding cannot be stored ({pretty_type(t_u)})",
-                  e.pos)
+                  pos)
         if f is not None:
-            t_x = self.lookup(g2, x, "cmd-ty-assign", e.pos)
+            t_x = self.lookup(g2, x, "cmd-ty-assign", pos)
             if not cap_in({Cap.MUT, Cap.TMP}, t_x):
                 _fail("cmd-ty-assign",
                       f"field update needs a mut/tmp receiver, "
-                      f"{x} is {pretty_type(t_x)}", e.pos)
+                      f"{x} is {pretty_type(t_x)}", pos)
             old: Type | None = None
             for leaf in leaves(t_x):
                 ftype = self.classes.ftype(leaf.head, f)
                 if ftype is None:
                     _fail("cmd-ty-assign",
-                          f"{leaf.head} has no field {f}", e.pos)
+                          f"{leaf.head} has no field {f}", pos)
                 if not subtype(t_u, ftype):
                     _fail("cmd-ty-assign",
                           f"{pretty_type(t_u)} is not a subtype of field type "
-                          f"{pretty_type(ftype)}", e.pos)
+                          f"{pretty_type(ftype)}", pos)
                 old = ftype if old is None else UnionType(old, ftype)
             return old, g2
         # Strong update of a var cell.
-        t_x = self.lookup(g2, x, "cmd-ty-assign-var", e.pos)
+        t_x = self.lookup(g2, x, "cmd-ty-assign-var", pos)
         if not cap_in({Cap.VAR}, t_x):
             _fail("cmd-ty-assign-var",
                   f"{x} := requires a var binding, got {pretty_type(t_x)}",
-                  e.pos)
+                  pos)
         if x in adjacent and not cap_in({Cap.MUT}, t_u):
             t_mut = map_leaves(t_u, lambda l: CapType(Cap.MUT, l.head))
             _fail("cmd-ty-assign-var-adjacent",
-                  f"rejected: {e.use} is {pretty_type(t_u)}, not "
+                  f"rejected: {use} is {pretty_type(t_u)}, not "
                   f"{pretty_type(t_mut)}"
                   " — the bridge cell of an entered region must hold a mut",
-                  e.pos)
+                  pos)
         t_f = fresult(t_x, "val", self.classes)
         if t_f is None:
             _fail("cmd-ty-assign-var",
                   f"the old content of {x}: {pretty_type(t_x)} cannot be "
-                  "read out (viewpoint adaptation undefined)", e.pos)
+                  "read out (viewpoint adaptation undefined)", pos)
         g3 = dict(g2)
         g3[x] = make_cell(t_u)
         return t_f, g3
 
-    def check_var_alloc(self, gamma: Gamma,
-                        e: VarAlloc) -> tuple[Type, Gamma]:
-        t_u, g2 = self.check_use(gamma, e.use)
+    def check_var_alloc(self, gamma: Gamma, use: Use,
+                        pos: Pos) -> tuple[Type, Gamma]:
+        t_u, g2 = self.check_use(gamma, use)
         if not cap_not_in({Cap.VAR}, t_u):
             _fail("cmd-ty-create-var",
                   f"a var binding cannot be stored in a cell "
-                  f"({pretty_type(t_u)})", e.pos)
+                  f"({pretty_type(t_u)})", pos)
         return CapType(Cap.VAR, CellHead(t_u)), g2
 
-    def check_new(self, gamma: Gamma, e: New) -> tuple[Type, Gamma]:
-        head = self._new_heads.get((e.cap, e.cls))
+    def check_new(self, gamma: Gamma, cap: Cap, cls: str,
+                  args: tuple[Use, ...], pos: Pos) -> tuple[Type, Gamma]:
+        head = self._new_heads.get((cap, cls))
         if head is None:
-            if e.cls not in self.classes:
-                _fail("cmd-ty-new", f"unknown class {e.cls}", e.pos)
-            if e.cap not in (Cap.MUT, Cap.TMP, Cap.ISO):
+            if cls not in self.classes:
+                _fail("cmd-ty-new", f"unknown class {cls}", pos)
+            if cap not in (Cap.MUT, Cap.TMP, Cap.ISO):
                 _fail("cmd-ty-new",
-                      f"new requires mut, tmp, or iso, got {e.cap}", e.pos)
-            head = self._new_heads[e.cap, e.cls] = (
-                self.classes.ftypes(ClassName(e.cls)),
-                CapType(e.cap, ClassName(e.cls)))
+                      f"new requires mut, tmp, or iso, got {cap}", pos)
+            head = self._new_heads[cap, cls] = (
+                self.classes.ftypes(ClassName(cls)),
+                CapType(cap, ClassName(cls)))
         ftypes, result = head
-        if len(ftypes) != len(e.args):
+        if len(ftypes) != len(args):
             _fail("cmd-ty-new",
-                  f"{e.cls} has {len(ftypes)} fields, got "
-                  f"{len(e.args)} arguments", e.pos)
-        for (fname, ftype), arg in zip(ftypes, e.args):
+                  f"{cls} has {len(ftypes)} fields, got "
+                  f"{len(args)} arguments", pos)
+        for (fname, ftype), arg in zip(ftypes, args):
             t_a, gamma = self.check_use(gamma, arg)
             if not subtype(t_a, ftype):
                 _fail("cmd-ty-new",
-                      f"argument for {e.cls}.{fname}: {pretty_type(t_a)} "
+                      f"argument for {cls}.{fname}: {pretty_type(t_a)} "
                       f"is not a subtype of {pretty_type(ftype)}", arg.pos)
-            if e.cap is Cap.ISO and not cap_in({Cap.ISO, Cap.IMM}, t_a):
+            if cap is Cap.ISO and not cap_in({Cap.ISO, Cap.IMM}, t_a):
                 _fail("cmd-ty-new",
                       f"iso constructor arguments must be iso or imm, "
                       f"{fname} gets {pretty_type(t_a)}", arg.pos)
         return result, gamma
 
-    def check_freeze(self, gamma: Gamma, e: Freeze) -> tuple[Type, Gamma]:
-        t, g2 = self.check_use(gamma, e.use)
+    def check_freeze(self, gamma: Gamma, use: Use,
+                     pos: Pos) -> tuple[Type, Gamma]:
+        t, g2 = self.check_use(gamma, use)
         if not cap_in({Cap.ISO}, t):
             _fail("cmd-ty-freeze",
                   f"freeze demands an iso value, got {pretty_type(t)}",
-                  e.pos)
+                  pos)
         return make_imm(t), g2
 
-    def check_merge(self, gamma: Gamma, e: Merge) -> tuple[Type, Gamma]:
-        t, g2 = self.check_use(gamma, e.use)
+    def check_merge(self, gamma: Gamma, use: Use,
+                    pos: Pos) -> tuple[Type, Gamma]:
+        t, g2 = self.check_use(gamma, use)
         if not cap_in({Cap.ISO}, t):
             _fail("cmd-ty-merge",
                   f"merge demands an iso value, got {pretty_type(t)}",
-                  e.pos)
+                  pos)
         return make_mut(t), g2
 
     def _check_call(self, gamma: Gamma, e: Call) -> tuple[Type, Gamma]:

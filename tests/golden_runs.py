@@ -23,6 +23,9 @@ counterexample.
                                              effect_wf.digest
     python tests/golden_runs.py --digest     print the sha256 over seeds
                                              0-199, pinned in runs.digest
+    python tests/golden_runs.py --effect-wf  print the effect
+                                             well-formedness sha256,
+                                             pinned in effect_wf.digest
     python tests/golden_runs.py --programs   print the generator's sha256,
                                              pinned in programs.digest
     python tests/golden_runs.py --witnesses  print the bug hunts' sha256,
@@ -139,8 +142,8 @@ def witnesses_digest() -> str:
     return h.hexdigest()
 
 
-DIGESTS = {"--digest": digest, "--programs": programs_digest,
-           "--witnesses": witnesses_digest}
+DIGESTS = {"--digest": digest, "--effect-wf": effect_wf_digest,
+           "--programs": programs_digest, "--witnesses": witnesses_digest}
 
 if __name__ == "__main__":
     if sys.argv[1:] == ["--write"]:

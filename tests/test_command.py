@@ -4,11 +4,14 @@ from pathlib import Path
 
 import pytest
 
+from reggio import machine
 from reggio.command import (TandemRunner, Verdict, desugar_explore,
                             desugar_program, replace, synth_effect)
-from reggio.machine import (Bind, FreezeEff, Halloc, Load, MergeEff, Salloc,
-                            Swap)
-from reggio.model import Cap
+from reggio.fuzz import GenConfig, generate
+from reggio.machine import (EFFECT_NAMES, BadEnter, Bind, CastEff, EnterEff,
+                            Eps, ExitEff, FreezeEff, Halloc, Load, MergeEff,
+                            NoCastEff, Salloc, Swap)
+from reggio.model import Cap, CapType, ClassName
 from reggio.syntax import (Assign, Deref, Enter, Freeze, LVal, Let, Merge,
                            New, Use, VarAlloc, parse_program)
 from reggio.typecheck import check_program
@@ -54,6 +57,134 @@ def test_synth_var_freeze_merge_use():
 def test_synth_rejects_compound():
     with pytest.raises(AssertionError):
         synth_effect("x", Let("y", New(Cap.MUT, "C", ()), Use("y")))
+    with pytest.raises(AssertionError):
+        synth_effect("x", Let("y", New(Cap.MUT, "C", ()), Use("y")), {})
+
+
+# -- synth_effect through an environment ---------------------------------------
+
+# Source name -> runtime name.  "a$1" is a source name that happens to look
+# like a runtime one: it renames to "a$7", and "a$1" as a runtime name is
+# never renamed again.  "free" is not in the environment.
+ENV = {"a": "a$1", "a$1": "a$7", "y": "y$3", "c": "c$4"}
+AT = (2, 5)
+
+
+@pytest.mark.parametrize("b, want", [
+    (Use("a", False, AT), Bind((("x", Use("a$1", False, AT)),))),
+    (Use("a$1", True, AT), Bind((("x", Use("a$7", True, AT)),))),
+    (Use("free", True, AT), Bind((("x", Use("free", True, AT)),))),
+    (New(Cap.TMP, "C", (Use("a"), Use("c", True))),
+     Salloc("x", Cap.TMP, "C", (Use("a$1"), Use("c$4", True)))),
+    (New(Cap.ISO, "C", (Use("free"),)),
+     Halloc("x", Cap.ISO, "C", (Use("free"),))),
+    (New(Cap.MUT, "C", ()), Halloc("x", Cap.MUT, "C", ())),
+    (Deref(LVal("y", "f")), Load("x", "y$3", "f")),
+    (Deref(LVal("y", None)), Load("x", "y$3", "val")),
+    (Deref(LVal("free", "f")), Load("x", "free", "f")),
+    (Assign(LVal("y", "f"), Use("a$1", True, AT)),
+     Swap("x", "y$3", "f", Use("a$7", True, AT))),
+    (Assign(LVal("a$1", None), Use("free")),
+     Swap("x", "a$7", "val", Use("free"))),
+    (VarAlloc(Use("c", True, AT)),
+     Salloc("x", Cap.VAR, "Cell", (Use("c$4", True, AT),))),
+    (Freeze(Use("c", True)), FreezeEff("x", Use("c$4", True))),
+    (Merge(Use("a", True)), MergeEff("x", Use("a$1", True))),
+], ids=["use", "use-dollar-drop", "use-free", "new-tmp", "new-iso-free",
+        "new-mut-noargs", "deref-field", "deref-bare", "deref-free",
+        "assign-field", "assign-bare-dollar", "var", "freeze", "merge"])
+def test_synth_renames_through_env(b, want):
+    before = dataclasses.replace(b)
+    got = synth_effect("x", b, ENV)
+    assert type(got) is type(want) and got == want
+    assert b == before  # the source binding is read, not rebuilt
+    assert synth_effect("x", b, {}) == synth_effect("x", b)
+
+
+def test_synth_without_env_keeps_every_use():
+    # The substituting reference machine passes already renamed bindings.
+    u = Use("u$2", True, AT)
+    assert synth_effect("x", Freeze(u)).use is u
+    assert synth_effect("x", New(Cap.MUT, "C", (u,))).uses[0] is u
+
+
+# -- effects as values ---------------------------------------------------------
+
+U = Use("u", True, (1, 2))
+T = CapType(Cap.MUT, ClassName("C"))
+
+EFFECTS = [
+    (Load("x", "y", "f"), "Load(x='x', y='y', f='f')"),
+    (Swap("x", "y", "val", U),
+     "Swap(x='x', y='y', f='val', use=Use(name='u', drop=True, "
+     "pos=(1, 2)))"),
+    (Halloc("x", Cap.ISO, "C", (U,)),
+     "Halloc(x='x', cap=<Cap.ISO: 'iso'>, cls='C', "
+     "uses=(Use(name='u', drop=True, pos=(1, 2)),))"),
+    (Salloc("x", Cap.VAR, "Cell", ()),
+     "Salloc(x='x', cap=<Cap.VAR: 'var'>, cls='Cell', uses=())"),
+    (EnterEff("w", Cap.TMP, "y", "f", (("z", U),)),
+     "EnterEff(w='w', cap=<Cap.TMP: 'tmp'>, y='y', f='f', "
+     "captures=(('z', Use(name='u', drop=True, pos=(1, 2))),))"),
+    (BadEnter("y", "f"), "BadEnter(y='y', f='f')"),
+    (ExitEff("x", U, "y", "f", "w", "val"),
+     "ExitEff(x='x', use=Use(name='u', drop=True, pos=(1, 2)), y='y', "
+     "f='f', w='w', g='val')"),
+    (FreezeEff("x", U),
+     "FreezeEff(x='x', use=Use(name='u', drop=True, pos=(1, 2)))"),
+    (MergeEff("x", U),
+     "MergeEff(x='x', use=Use(name='u', drop=True, pos=(1, 2)))"),
+    (CastEff("x", U, T),
+     "CastEff(x='x', use=Use(name='u', drop=True, pos=(1, 2)), "
+     "ty=CapType(cap=<Cap.MUT: 'mut'>, head=ClassName(name='C')))"),
+    (NoCastEff("x", U, T),
+     "NoCastEff(x='x', use=Use(name='u', drop=True, pos=(1, 2)), "
+     "ty=CapType(cap=<Cap.MUT: 'mut'>, head=ClassName(name='C')))"),
+    (Bind((("x", U),)),
+     "Bind(pairs=(('x', Use(name='u', drop=True, pos=(1, 2))),))"),
+    (Eps(), "Eps()"),
+]
+
+
+def test_one_literal_repr_per_effect_kind():
+    assert [type(e) for e, _ in EFFECTS] == list(EFFECT_NAMES)
+    for eff, want in EFFECTS:
+        assert repr(eff) == want
+
+
+@pytest.mark.parametrize("a, b", [
+    (FreezeEff("x", U), MergeEff("x", U)),
+    (CastEff("x", U, T), NoCastEff("x", U, T)),
+    (Halloc("x", Cap.MUT, "C", (U,)), Salloc("x", Cap.MUT, "C", (U,))),
+], ids=["freeze-merge", "cast-nocast", "halloc-salloc"])
+def test_effects_with_equal_fields_differ_by_kind(a, b):
+    assert a != b and not a == b
+    assert a == dataclasses.replace(a) and b == dataclasses.replace(b)
+
+
+def test_effects_are_unchanged_by_the_steps_that_read_them(monkeypatch):
+    # Each effect is recorded as the region machine gets it; by the end of
+    # the run wf-eff and the fast path have read it too.
+    seen = []
+    step_effect = machine.Machine.step_effect
+
+    def recorded(self, eff):
+        seen.append((eff, repr(eff)))
+        return step_effect(self, eff)
+
+    monkeypatch.setattr(machine.Machine, "step_effect", recorded)
+    kinds = set()
+    progs = [generate(GenConfig(seed=s, max_depth=8)) for s in range(30)]
+    for name in ("explore.rgo", "reenter_open.rgo", "bridge_swap.rgo"):
+        progs.append(parse_program((CORPUS / name).read_text()))
+    for prog in progs:
+        TandemRunner(prog, check="each-step", budget=2_000).run()
+    for eff, before in seen:
+        kinds.add(type(eff))
+        assert repr(eff) == before
+        with pytest.raises(AttributeError):
+            eff.note = "an effect has no attribute but its fields"
+    assert kinds == set(EFFECT_NAMES)
 
 
 # -- node rebuilds ------------------------------------------------------------
@@ -171,6 +302,19 @@ def test_budget_on_recursion():
     res = TandemRunner(prog, budget=200).run()
     assert res.verdict is Verdict.BUDGET
     assert res.steps == 200
+
+
+def test_a_run_that_ends_on_its_last_budgeted_step_is_not_cut():
+    for name, ending in (("listing1.rgo", Verdict.DONE),
+                         ("reenter_open.rgo", Verdict.FAILED)):
+        prog = parse_program((CORPUS / name).read_text())
+        check_program(prog)
+        for check in ("off", "final", "each-step"):
+            steps = TandemRunner(prog, check=check).run().steps
+            res = TandemRunner(prog, check=check, budget=steps).run()
+            assert (res.verdict, res.steps) == (ending, steps)
+            res = TandemRunner(prog, check=check, budget=steps - 1).run()
+            assert (res.verdict, res.steps) == (Verdict.BUDGET, steps - 1)
 
 
 def test_failed_on_reentering_open_region():
