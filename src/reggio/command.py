@@ -147,13 +147,10 @@ def desugar_program(prog: Program) -> Program:
 # Effect synthesis and stepping
 # ---------------------------------------------------------------------------
 
-def synth_effect(x: str, b: Expr,
-                 env: Optional[dict[str, str]] = None) -> Effect:
+def synth_effect(x: str, b: Expr, env: dict[str, str]) -> Effect:
     """The 11-row effect table for simple bound expressions.  Each name b
     uses is renamed per env as the effect is filled; a name env does not
     bind stands for itself."""
-    if env is None:
-        env = {}
     kind = type(b)
     if kind is New:
         args = b.args

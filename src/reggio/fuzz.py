@@ -16,12 +16,11 @@ from typing import Callable, Optional, Sequence
 from .command import Snapshot, TandemRunner, Verdict
 from .model import (Cap, CapType, CellHead, ClassName, ClassTable, FunSig,
                     FunctionTable, Type, UnionType, cap_in, cap_not_in,
-                    fresult, leaves, make_cell, make_imm, make_iso, make_mut,
-                    vpa_type)
+                    fresult, leaves, make_cell, make_imm, make_mut, vpa_type)
 from .syntax import (Assign, Call, Deref, Enter, Expr, Freeze, Let, LVal,
                      Merge, New, Program, TypeTest, Use, VarAlloc,
                      _with_children, fold, parse_type, pretty_program, walk)
-from .typecheck import TypeCheckError, check_program
+from .typecheck import Checker, TypeCheckError, check_program
 
 # ---------------------------------------------------------------------------
 # Configuration
@@ -114,6 +113,7 @@ class _Gen:
         self.class_names = [n for n, _ in _MENU]
         self.holders = [n for n in self.class_names if n.startswith("H")]
         self.functions = FunctionTable()
+        self.checker = Checker(self.classes, self.functions)
         self.fn_order: list[str] = []
         self.counter = 0
         self.productions = [getattr(self, "p_" + name) for name in _WEIGHTS]
@@ -456,12 +456,8 @@ class _Gen:
         inner = _Scope(env=body_env, adjacent={binder},
                        depth=scope.depth - 1)
         body, t_body = self._gen_body(inner)
-        # Mirror cmd-ty-enter-var's out-binding for the target cell.
-        content: Optional[Type] = None
-        for lf in leaves(inner.env[binder]):
-            p = lf.head.param
-            content = p if content is None else UnionType(content, p)
-        scope.env[n] = make_cell(make_iso(content))
+        scope.env = self.checker.exit_context(scope.env, inner.env, t_body,
+                                              binder, n, None, (0, 0))
         self._emit(scope, Enter(LVal(n), tuple(caps), binder, body),
                    t_body, "e")
         return True
@@ -538,30 +534,36 @@ _TRIPPED = (Verdict.STUCK, Verdict.VIOLATION)
 
 
 class Trips:
-    """Whether a program trips the planted bugs: its each-step run ends
-    stuck or in violation.
+    """shrink's predicate: whether a candidate trips the planted bugs, its
+    each-step run ending stuck or in violation.
 
-    As shrink's predicate it resumes each candidate's run (see shrink)
-    from the snapshot of the current program's run with the largest index
-    at or before the edit, of those it keeps, at most one per mark of the
-    current tree.  A run snapshots at the marks it passes up to its edit
-    and at the first one after it, where the next candidate most often
-    starts, and then stops: the next accepted edit leaves the later states
-    behind, and a snapshot costs about what a checked step does.  When
-    shrink accepts a candidate, the snapshots before its edit carry over
-    and its own join them."""
+    It resumes each candidate's run (see shrink) from the snapshot of the
+    current program's run with the largest index at or before the edit, of
+    those it keeps, at most one per mark of the current tree.  A run
+    snapshots at the marks it passes up to its edit and at the first one
+    after it, where the next candidate most often starts, and then stops:
+    the next accepted edit leaves the later states behind, and a snapshot
+    costs about what a checked step does.  A candidate that trips becomes
+    the current program: the snapshots before its edit carry over and its
+    own join them."""
 
     def __init__(self, budget: int, bugs: frozenset[str]) -> None:
         self.budget, self.bugs = budget, bugs
         self.snaps: dict[int, Snapshot] = {}  # by the control's index
         self.taken: dict[int, Snapshot] = {}  # by the last run
 
-    def __call__(self, prog: Program, tree: Optional[_Tree] = None) -> bool:
-        """Whether prog trips; given prog's tree, run as shrink's
-        candidate."""
-        start = None if tree is None else self._start(tree)
-        verdict, _ = soundness_run(prog, self.budget, self.bugs, start)
-        return verdict in _TRIPPED
+    def __call__(self, prog: Program, tree: _Tree) -> bool:
+        """Whether prog, the program of tree, trips."""
+        verdict, _ = soundness_run(prog, self.budget, self.bugs,
+                                   self._start(tree))
+        if verdict not in _TRIPPED:
+            return False
+        j, size = tree.edit
+        snaps = {i: replace(snap, stack=[
+            (f, b - size * (b > j)) for f, b in snap.stack])
+            for i, snap in self.snaps.items() if i <= j}
+        self.snaps = {**snaps, **self.taken}
+        return True
 
     def _start(self, tree: _Tree) -> Callable[[TandemRunner], None]:
         j, size = tree.edit
@@ -582,14 +584,6 @@ class Trips:
                         runner.observer = None
             runner.observer = observe
         return start
-
-    def accept(self, tree: _Tree) -> None:
-        """The program of tree, the last one run, is now the current one."""
-        j, size = tree.edit
-        snaps = {i: replace(snap, stack=[
-            (f, b - size * (b > j)) for f, b in snap.stack])
-            for i, snap in self.snaps.items() if i <= j}
-        self.snaps = {**snaps, **self.taken}
 
 
 # ---------------------------------------------------------------------------
@@ -689,14 +683,6 @@ def _removal(site: int | tuple[int, int]
     enter, k = site
     return enter, lambda x: replace(
         x, captures=x.captures[:k] + x.captures[k + 1:])
-
-
-def _remove_let(e: Expr, target: int) -> Expr:
-    return _change_path(e, *_removal(target))[0]
-
-
-def _remove_capture(e: Expr, target: tuple[int, int]) -> Expr:
-    return _change_path(e, *_removal(target))[0]
 
 
 class _Tree:
@@ -830,41 +816,31 @@ def _rebuild(prog: Program, main: Expr) -> Program:
     return Program(table, funcs, main, kept_c, kept_f)
 
 
-def shrink(prog: Program,
-           predicate: Callable[[Program], bool]) -> Program:
+def shrink(prog: Program, budget: int, bugs: frozenset[str]) -> Program:
     """Greedy removal of unused lets/captures/declarations while the
-    predicate keeps triggering and the program keeps type checking.
+    program keeps type checking and its each-step run under bugs keeps
+    tripping (Trips).
 
-    Every program passed to the predicate has type checked, so the
-    predicate need not check it again.  Candidates keep the declarations,
-    which neither type checking nor a run reads unless main names them;
-    the unused ones are pruned once, from the result.
+    Only programs that have type checked are run.  Candidates keep the
+    declarations, which neither type checking nor a run reads unless main
+    names them; the unused ones are pruned once, from the result.
 
     A candidate differs from the current program only at its edit: one
     let or capture removed.  Control moves forward through main in
     preorder (main has no loops, calls return to it, and a failed enter
     unwinds forward), so up to the edit a candidate's run repeats the
-    current program's.  A Trips predicate resumes it from a snapshot of
-    the current program's run taken at or before the edit: the step
-    count, the fresh-name counter, the environment and continuation
-    stack, the context stack (shared), and clones of the machine and the
-    fast path's summaries, with every node of main held as its preorder
-    index.  Any other predicate runs each candidate from the start."""
+    current program's.  So it resumes from a snapshot of the current
+    program's run taken at or before the edit: the step count, the
+    fresh-name counter, the environment and continuation stack, the
+    context stack (shared), and clones of the machine and the fast path's
+    summaries, with every node of main held as its preorder index."""
     try:
         check_program(prog)
     except TypeCheckError:
         return prog
-    resumes = isinstance(predicate, Trips)
-
-    def test(p: Program, t: _Tree) -> bool:
-        if not (predicate(p, t) if resumes else predicate(p)):
-            return False
-        if resumes:
-            predicate.accept(t)
-        return True
-
+    trips = Trips(budget, bugs)
     tree = _Tree.of(prog.main)
-    if not test(prog, tree):
+    if not trips(prog, tree):
         return prog
     current = prog
     progress = True
@@ -877,13 +853,11 @@ def shrink(prog: Program,
                 check_program(cand)
             except TypeCheckError:
                 continue
-            if test(cand, cand_tree):
+            if trips(cand, cand_tree):
                 current, tree = cand, cand_tree
                 tree.add_freed_sites()
                 progress = True
                 break
-    if resumes:
-        predicate.snaps = predicate.taken = {}
     return _rebuild(current, current.main)
 
 
@@ -924,7 +898,7 @@ def campaign(n: int, cfg: GenConfig, budget: int = 10_000,
         elif verdict is Verdict.BUDGET:
             result.budget_outs += 1
         else:
-            small = shrink(prog, Trips(budget, bugs))
+            small = shrink(prog, budget, bugs)
             result.abort_seed = sub.seed
             result.abort_detail = f"{verdict.value}: {detail}"
             result.counterexample = pretty_program(small)

@@ -2,7 +2,9 @@
 invariants, configuration well-formedness, and effect well-formedness.
 
 Effect well-formedness evolves the typing contexts by the checker's own
-rules (typecheck.Checker), so the two cannot drift apart.
+rules (typecheck.Checker), so the two cannot drift apart: an enter opens
+its block through Checker.enter_context and an exit leaves it through
+Checker.exit_context, as the checker's own enter rules do.
 
 The oracle is deliberately brute force: the graph is rebuilt from scratch
 and the topology predicate is checked pairwise.  It is the executable
@@ -19,13 +21,13 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional
 
-from .model import (Cap, CapType, CellHead, ClassTable, FunctionTable, Type,
-                    cap_in, fresult, leaves, make_cell, make_iso, tag_matches)
+from .model import (Cap, CapType, ClassTable, FunctionTable, Type, cap_in,
+                    leaves, tag_matches)
 from .machine import (CLOSED, FROZEN, OPEN, STATES, BadEnter, Bind, CastEff,
                       Effect, EnterEff, Eps, ExitEff, Frame, FreezeEff,
                       Halloc, Load, Machine, MergeEff, NoCastEff, Object,
                       Salloc, Store, Swap, V_UNDEF)
-from .typecheck import UNDEF, Checker, Gamma, TypeCheckError
+from .typecheck import UNDEF, Binding, Checker, Gamma, TypeCheckError
 
 
 # ---------------------------------------------------------------------------
@@ -829,6 +831,10 @@ def _check_frame_typing(gamma: Gamma, frame, objects: dict[int, Object],
 # Effect well-formedness (wf-eff-*)
 # ---------------------------------------------------------------------------
 
+def _is_var(t: Optional[Binding]) -> bool:
+    return t is not None and t is not UNDEF and cap_in({Cap.VAR}, t)
+
+
 @lru_cache(maxsize=1)
 def _checker(classes: ClassTable) -> Checker:
     """The checker whose rules type a run's effects: one for a run's class
@@ -841,9 +847,12 @@ def check_effect_wf(gammas: ContextStack, eff: Effect,
     """Evolve the context stack by one effect; None if any premise fails.
 
     Each effect is typed by the checker's rule for the let binding it
-    stands for; a failed premise is the checker's TypeCheckError.  The
-    result shares every context but the top one with gammas, which is left
-    unchanged."""
+    stands for; a failed premise is the checker's TypeCheckError.  An exit
+    pops the block's context and takes the checker's block-end premises
+    (Checker.exit_context) on a copy of the context below, which the block
+    left as its enter made it: so a field's binder is held to its entry
+    type, computed again from the target's.  The result shares every
+    context but the top one with gammas, which is left unchanged."""
     out = gammas.copy_top()
     checker = _checker(classes)
     # Drops bury variables in the copied top context itself.
@@ -862,9 +871,7 @@ def check_effect_wf(gammas: ContextStack, eff: Effect,
         elif kind is Load:
             t, gamma = checker.check_deref(gamma, eff.y, eff.f, (0, 0))
         elif kind is Swap:
-            t_y = gamma.get(eff.y)
-            bare = (eff.f == "val" and t_y is not None and t_y is not UNDEF
-                    and cap_in({Cap.VAR}, t_y))
+            bare = eff.f == "val" and _is_var(gamma.get(eff.y))
             t, gamma = checker.check_assign(gamma, eff.y,
                                             None if bare else eff.f,
                                             eff.use, (0, 0), frozenset())
@@ -884,7 +891,18 @@ def check_effect_wf(gammas: ContextStack, eff: Effect,
             out.frames.append(block)
             return out
         elif kind is ExitEff:
-            return _wf_exit(checker, out, eff, classes)
+            if len(out.frames) < 2:
+                return None
+            out.frames.pop()
+            t, g_out = checker.check_use(gamma, eff.use)
+            # The context below is shared with gammas until now.
+            below = checker._owned = dict(out.frames[-1])
+            # enter x and enter x.val exit alike; the binder's capability
+            # tells them apart, as EnterEff's does.
+            bare = (eff.f == "val" and _is_var(below.get(eff.y))
+                    and _is_var(g_out.get(eff.w)))
+            gamma = checker.exit_context(below, g_out, t, eff.w, eff.y,
+                                         None if bare else eff.f, (0, 0))
         elif kind is Eps or kind is BadEnter:
             return out
         else:
@@ -893,39 +911,4 @@ def check_effect_wf(gammas: ContextStack, eff: Effect,
         return None
     gamma[eff.x] = t
     out.frames[-1] = gamma
-    return out
-
-
-def _wf_exit(checker: Checker, out: ContextStack, eff: ExitEff,
-             classes: ClassTable) -> Optional[ContextStack]:
-    """The block-end premises of cmd-ty-enter and cmd-ty-enter-var, stated
-    here and not shared with the checker: the checker compares the binder
-    with the static type it gave it on entry, which the effect does not
-    carry, so here the binder need only still be a Cell whose content is
-    mut."""
-    if len(out.frames) < 2:
-        return None
-    popped = out.frames.pop()
-    t_ret, _ = checker.check_use(popped, eff.use)
-    if not cap_in({Cap.ISO, Cap.IMM}, t_ret):
-        return None
-    t_w = popped.get(eff.w)
-    if t_w is None or t_w is UNDEF:
-        return None
-    if not all(leaf.cap in (Cap.TMP, Cap.VAR)
-               and isinstance(leaf.head, CellHead) for leaf in leaves(t_w)):
-        return None
-    t_new = fresult(t_w, eff.g, classes)
-    if t_new is None or not cap_in({Cap.MUT}, t_new):
-        return None
-    gamma = dict(out.frames[-1])  # shared with the input stack until now
-    out.frames[-1] = gamma
-    t_y = gamma.get(eff.y)
-    if t_y is None or t_y is UNDEF:
-        return None
-    if eff.f == "val" and all(
-            leaf.cap is Cap.VAR and isinstance(leaf.head, CellHead)
-            for leaf in leaves(t_y)):
-        gamma[eff.y] = make_cell(make_iso(t_new))
-    gamma[eff.x] = t_ret
     return out

@@ -375,95 +375,88 @@ class Checker:
                       f"capture {y}: {pretty_type(t_i)} cannot be suspended "
                       "(viewpoint adaptation undefined)", u.pos)
             body_ctx[y] = adapted
+        body_ctx[binder] = self._binder_type(gamma, x, f, pos)
+        return gamma, body_ctx
+
+    def _binder_type(self, gamma: Gamma, x: str, f: str | None,
+                     pos: Pos) -> Type:
+        """The binder's type on entry, from the target's type in gamma:
+        tmp Cell[mut t_f] for a field x.f, var Cell[mut t_f] (over each
+        leaf) for a var cell x, where t_f is the iso the target holds."""
+        rule = "cmd-ty-enter-var" if f is None else "cmd-ty-enter"
+        t_x = self.lookup(gamma, x, rule, pos)
         if f is None:
-            t_x = self.lookup(gamma, x, "cmd-ty-enter-var", pos)
             if not cap_in({Cap.VAR}, t_x):
-                _fail("cmd-ty-enter-var",
-                      f"enter target {x}: {pretty_type(t_x)} must be a var "
-                      "binding", pos)
+                _fail(rule, f"enter target {x}: {pretty_type(t_x)} must be a "
+                            "var binding", pos)
             t_f = fresult_keep_iso(t_x, "val", self.classes)
             if t_f is None:
-                _fail("cmd-ty-enter-var",
-                      f"content of {x}: {pretty_type(t_x)} is undefined", pos)
+                _fail(rule, f"content of {x}: {pretty_type(t_x)} is undefined",
+                      pos)
             if not cap_in({Cap.ISO}, t_f):
-                _fail("cmd-ty-enter-var",
-                      f"cell content capability must be iso, {x} holds "
-                      f"{pretty_type(t_f)}", pos)
-            body_ctx[binder] = make_cell(make_mut(t_f))
-            return gamma, body_ctx
-        t_x = self.lookup(gamma, x, "cmd-ty-enter", pos)
+                _fail(rule, f"cell content capability must be iso, {x} holds "
+                            f"{pretty_type(t_f)}", pos)
+            return make_cell(make_mut(t_f))
         if not cap_in(OPEN_CAPS, t_x):
-            _fail("cmd-ty-enter",
-                  f"enter target {x}: {pretty_type(t_x)} must have an open "
-                  "capability (mut, tmp, var, or paused)", pos)
+            _fail(rule, f"enter target {x}: {pretty_type(t_x)} must have an "
+                        "open capability (mut, tmp, var, or paused)", pos)
         t_f = fresult_keep_iso(t_x, f, self.classes)
         if t_f is None:
-            _fail("cmd-ty-enter",
-                  f"{x}.{f} is undefined through {pretty_type(t_x)}", pos)
+            _fail(rule, f"{x}.{f} is undefined through {pretty_type(t_x)}",
+                  pos)
         if not cap_in({Cap.ISO}, t_f):
-            _fail("cmd-ty-enter",
-                  f"field capability must be iso, {x}.{f} is "
-                  f"{pretty_type(t_f)}", pos)
-        body_ctx[binder] = CapType(Cap.TMP, CellHead(make_mut(t_f)))
-        return gamma, body_ctx
+            _fail(rule, f"field capability must be iso, {x}.{f} is "
+                        f"{pretty_type(t_f)}", pos)
+        return CapType(Cap.TMP, CellHead(make_mut(t_f)))
+
+    def exit_context(self, gamma: Gamma, g_out: Gamma, t_body: Type,
+                     binder: str, x: str, f: str | None, pos: Pos) -> Gamma:
+        """The block-end premises of cmd-ty-enter (target x.f) and
+        cmd-ty-enter-var (target x, f None), given gamma as enter_context
+        returned it and the block's result type and final context: the
+        result is iso or imm; a field's binder still has its entry type; a
+        var cell's binder is still a var Cell, whose mut contents the
+        target then holds as iso.  Like check_use, it writes gamma in place
+        only if the checker owns it."""
+        rule = "cmd-ty-enter-var" if f is None else "cmd-ty-enter"
+        if not cap_in({Cap.ISO, Cap.IMM}, t_body):
+            _fail(rule, f"the block may only return iso's and imm's, got "
+                        f"{pretty_type(t_body)}", pos)
+        t_z = g_out.get(binder)
+        if f is not None:
+            if t_z != self._binder_type(gamma, x, f, pos):
+                _fail(rule, f"the binding of {binder} must be unchanged at "
+                            "the end of the block", pos)
+            return gamma
+        if t_z is UNDEF or t_z is None:
+            _fail(rule, f"the ref cell {binder} must remain bound at the end "
+                        "of the block", pos)
+        contents: Type | None = None
+        for leaf in leaves(t_z):
+            if leaf.cap is not Cap.VAR or not isinstance(leaf.head, CellHead):
+                _fail(rule, f"the ref cell {binder} must stay a var Cell, "
+                            f"got {pretty_type(t_z)}", pos)
+            p = leaf.head.param
+            contents = p if contents is None else UnionType(contents, p)
+        if not cap_in({Cap.MUT}, contents):
+            _fail(rule, f"the final content of {binder} must be mut, got "
+                        f"{pretty_type(contents)}", pos)
+        if gamma is not self._owned:
+            gamma = dict(gamma)
+        gamma[x] = make_cell(make_iso(contents))
+        return gamma
 
     def _check_enter(self, gamma: Gamma, e: Enter) -> tuple[Type, Gamma]:
         if e.explore:
             from .command import desugar_explore
             return self.check_expr(gamma, desugar_explore(e))
-        gamma, body_ctx = self.enter_context(
-            gamma, e.captures, e.binder, e.target.name, e.target.fld, e.pos)
-        if e.target.fld is not None:
-            return self._check_enter_field(gamma, body_ctx, e)
-        return self._check_enter_var(gamma, body_ctx, e)
-
-    def _check_enter_field(self, gamma: Gamma, body_ctx: Gamma,
-                           e: Enter) -> tuple[Type, Gamma]:
-        t_z = body_ctx[e.binder]
-        t_body, g_out = self.check_expr(body_ctx, e.body)
-        if not cap_in({Cap.ISO, Cap.IMM}, t_body):
-            _fail("cmd-ty-enter",
-                  f"the block may only return iso's and imm's, got "
-                  f"{pretty_type(t_body)}", e.pos)
-        if g_out.get(e.binder) != t_z:
-            _fail("cmd-ty-enter",
-                  f"the binding of {e.binder} must be unchanged at the "
-                  "end of the block", e.pos)
-        return t_body, gamma
-
-    def _check_enter_var(self, gamma: Gamma, body_ctx: Gamma,
-                         e: Enter) -> tuple[Type, Gamma]:
-        t_body, g_out = self.check_expr(body_ctx, e.body,
-                                        adjacent=frozenset({e.binder}))
-        if not cap_in({Cap.ISO, Cap.IMM}, t_body):
-            _fail("cmd-ty-enter-var",
-                  f"the block may only return iso's and imm's, got "
-                  f"{pretty_type(t_body)}", e.pos)
-        t_z_out = g_out.get(e.binder)
-        if t_z_out is UNDEF or t_z_out is None:
-            _fail("cmd-ty-enter-var",
-                  f"the ref cell {e.binder} must remain bound at the end "
-                  "of the block", e.pos)
-        new_params = self._cell_contents(t_z_out, e)
-        if not cap_in({Cap.MUT}, new_params):
-            _fail("cmd-ty-enter-var",
-                  f"the final content of {e.binder} must be mut, got "
-                  f"{pretty_type(new_params)}", e.pos)
-        g2 = dict(gamma)
-        g2[e.target.name] = make_cell(make_iso(new_params))
-        return t_body, g2
-
-    def _cell_contents(self, t: Type, e: Enter) -> Type:
-        contents: Type | None = None
-        for leaf in leaves(t):
-            if leaf.cap is not Cap.VAR or not isinstance(leaf.head,
-                                                         CellHead):
-                _fail("cmd-ty-enter-var",
-                      f"the ref cell {e.binder} must stay a var Cell, "
-                      f"got {pretty_type(t)}", e.pos)
-            p = leaf.head.param
-            contents = p if contents is None else UnionType(contents, p)
-        return contents
+        x, f = e.target.name, e.target.fld
+        gamma, body_ctx = self.enter_context(gamma, e.captures, e.binder,
+                                             x, f, e.pos)
+        adjacent = frozenset() if f is not None else frozenset({e.binder})
+        t_body, g_out = self.check_expr(body_ctx, e.body, adjacent)
+        return t_body, self.exit_context(gamma, g_out, t_body, e.binder, x,
+                                         f, e.pos)
 
     def _check_typetest(self, gamma: Gamma, e: TypeTest,
                         adjacent: frozenset[str]) -> tuple[Type, Gamma]:

@@ -193,7 +193,7 @@ class SubstRunner:
                                   de.body, de.pos), b.pos)
                 return self._step_dyn(rotated)
             x2 = self.names.fresh(de.name)
-            eff = synth_effect(x2, b)
+            eff = synth_effect(x2, b, {})
             return eff, subst(de.body, {de.name: x2})
         if isinstance(de, TypeTest):
             eff, chosen = self._step_typetest(de)

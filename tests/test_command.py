@@ -30,35 +30,36 @@ def _run(src: str, **kw) -> Verdict:
 # -- synth_effect rows ---------------------------------------------------------
 
 def test_synth_deref_field_and_var():
-    assert synth_effect("x", Deref(LVal("y", "f"))) == Load("x", "y", "f")
-    assert synth_effect("x", Deref(LVal("y", None))) == Load("x", "y", "val")
+    assert synth_effect("x", Deref(LVal("y", "f")), {}) == Load("x", "y", "f")
+    assert synth_effect("x", Deref(LVal("y", None)), {}) == Load("x", "y", "val")
 
 
 def test_synth_assign_field_and_var():
     u = Use("u", True)
-    assert synth_effect("x", Assign(LVal("y", "f"), u)) == Swap("x", "y", "f", u)
-    assert synth_effect("x", Assign(LVal("y", None), u)) == Swap("x", "y", "val", u)
+    assert synth_effect("x", Assign(LVal("y", "f"), u), {}) == Swap("x", "y", "f", u)
+    assert synth_effect("x", Assign(LVal("y", None), u), {}) == Swap("x", "y", "val", u)
 
 
 def test_synth_new_tmp_is_stack_else_heap():
-    assert synth_effect("x", New(Cap.TMP, "C", ())) == Salloc("x", Cap.TMP, "C", ())
-    assert synth_effect("x", New(Cap.ISO, "C", ())) == Halloc("x", Cap.ISO, "C", ())
-    assert synth_effect("x", New(Cap.MUT, "C", ())) == Halloc("x", Cap.MUT, "C", ())
+    assert synth_effect("x", New(Cap.TMP, "C", ()), {}) == Salloc("x", Cap.TMP, "C", ())
+    assert synth_effect("x", New(Cap.ISO, "C", ()), {}) == Halloc("x", Cap.ISO, "C", ())
+    assert synth_effect("x", New(Cap.MUT, "C", ()), {}) == Halloc("x", Cap.MUT, "C", ())
 
 
 def test_synth_var_freeze_merge_use():
     u = Use("u", True)
-    assert synth_effect("x", VarAlloc(u)) == Salloc("x", Cap.VAR, "Cell", (u,))
-    assert synth_effect("x", Freeze(u)) == FreezeEff("x", u)
-    assert synth_effect("x", Merge(u)) == MergeEff("x", u)
-    assert synth_effect("x", Use("y")) == Bind((("x", Use("y")),))
+    assert synth_effect("x", VarAlloc(u), {}) == Salloc("x", Cap.VAR, "Cell", (u,))
+    assert synth_effect("x", Freeze(u), {}) == FreezeEff("x", u)
+    assert synth_effect("x", Merge(u), {}) == MergeEff("x", u)
+    assert synth_effect("x", Use("y"), {}) == Bind((("x", Use("y")),))
 
 
 def test_synth_rejects_compound():
     with pytest.raises(AssertionError):
-        synth_effect("x", Let("y", New(Cap.MUT, "C", ()), Use("y")))
-    with pytest.raises(AssertionError):
         synth_effect("x", Let("y", New(Cap.MUT, "C", ()), Use("y")), {})
+    with pytest.raises(AssertionError):
+        synth_effect("x", Let("y", New(Cap.MUT, "C", ()), Use("y")),
+                     {"y": "y$3"})
 
 
 # -- synth_effect through an environment ---------------------------------------
@@ -98,14 +99,16 @@ def test_synth_renames_through_env(b, want):
     got = synth_effect("x", b, ENV)
     assert type(got) is type(want) and got == want
     assert b == before  # the source binding is read, not rebuilt
-    assert synth_effect("x", b, {}) == synth_effect("x", b)
+    # A name the environment does not bind stands for itself.
+    same = {n: n for n in [*ENV, "free"]}
+    assert synth_effect("x", b, {}) == synth_effect("x", b, same)
 
 
 def test_synth_without_env_keeps_every_use():
     # The substituting reference machine passes already renamed bindings.
     u = Use("u$2", True, AT)
-    assert synth_effect("x", Freeze(u)).use is u
-    assert synth_effect("x", New(Cap.MUT, "C", (u,))).uses[0] is u
+    assert synth_effect("x", Freeze(u), {}).use is u
+    assert synth_effect("x", New(Cap.MUT, "C", (u,)), {}).uses[0] is u
 
 
 # -- effects as values ---------------------------------------------------------

@@ -10,7 +10,7 @@ import pytest
 
 from reggio.command import (TandemRunner, Verdict, binder_count,
                             desugar_program)
-from reggio.fuzz import GenConfig, _remove_let, _unused_sites, generate
+from reggio.fuzz import GenConfig, _Tree, _unused_sites, generate
 from reggio.machine import KNOWN_BUGS, effect_args, effect_name
 from reggio.model import Cap, ClassTable, FunctionTable
 from reggio.syntax import Let, New, Program, Use, parse_program, pretty_expr
@@ -159,5 +159,5 @@ def test_long_chain_walks_without_recursion():
     assert binder_count(main) == 5000
     assert _unused_sites(main) == ([], [])
     # The let binding x4999 is node 2 * 4999 in preorder.
-    shorter = pretty_expr(_remove_let(main, 2 * 4999))
+    shorter = pretty_expr(_Tree.of(main).without(2 * 4999).main)
     assert shorter == text.replace("let x4999 = x4998 in ", "")

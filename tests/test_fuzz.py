@@ -5,9 +5,9 @@ from dataclasses import replace
 
 from reggio import fuzz
 from reggio.command import TandemRunner, Verdict
-from reggio.fuzz import (CampaignResult, GenConfig, _remove_capture,
-                         _remove_let, _unused_sites, _rebuild, _used_decls,
-                         campaign, generate, shrink, soundness_run)
+from reggio.fuzz import (CampaignResult, GenConfig, _Tree, _unused_sites,
+                         _rebuild, _used_decls, campaign, generate, shrink,
+                         soundness_run)
 from reggio.machine import KNOWN_BUGS
 from reggio.syntax import (Assign, Call, Deref, Enter, Freeze, Let, LVal,
                            Merge, New, TypeTest, Use, VarAlloc, parse_program,
@@ -77,8 +77,9 @@ def test_soundness_run_done_and_budget():
 
 
 def test_shrink_keeps_non_trigger_untouched():
+    # With no planted bug, no run trips.
     prog = generate(GenConfig(seed=5))
-    out = shrink(prog, lambda p: False)
+    out = shrink(prog, 10_000, frozenset())
     assert pretty_program(out) == pretty_program(prog)
 
 
@@ -173,9 +174,9 @@ def test_unused_sites_with_reused_names():
 
 
 # The shrinker's removals by their first definition: a rebuild pass that
-# visits every node of the tree.  Kept here as the oracle for
-# fuzz._remove_let and fuzz._remove_capture, which copy only the path from
-# the root to the site.
+# visits every node of the tree.  Kept here as the oracle for the
+# shrinker's _Tree.without, which copies only the path from the root to the
+# site.
 
 def _remove_let_by_rebuild(e, target):
     return rebuild(e, lambda x, i: x.body if i == target else x)
@@ -206,13 +207,14 @@ def test_path_copy_removal_matches_rebuild_oracle():
     removed = [0, 0]
     for seed in range(100):
         main = generate(GenConfig(seed=seed)).main
-        lets, captures = _unused_sites(main)
+        tree = _Tree.of(main)
+        lets, captures = tree.lets, tree.captures
         nodes = {index: x for x, index, _, k in walk(main) if k == 0}
         ends = _subtree_ends(main)
         for site in lets + captures:
+            got = tree.without(site).main
             if isinstance(site, int):
                 target = site
-                got = _remove_let(main, site)
                 want = _remove_let_by_rebuild(main, site)
                 # The let and its binding leave the tree; nothing is new
                 # but the copied path.
@@ -221,7 +223,6 @@ def test_path_copy_removal_matches_rebuild_oracle():
                 removed[0] += 1
             else:
                 target = site[0]
-                got = _remove_capture(main, site)
                 want = _remove_capture_by_rebuild(main, site)
                 gone, made = {target}, 1  # the enter, remade
                 removed[1] += 1
@@ -281,13 +282,15 @@ def test_used_decls_follow_a_callee_declared_earlier():
     check_program(_rebuild(prog, prog.main))
 
 
+_EXIT_KEEP_TEMPS = frozenset({"exit-keep-temps"})
+
+
 def _triggers_exit_keep_temps(p) -> bool:
     try:
         check_program(p)
     except Exception:
         return False
-    v, _ = soundness_run(p, budget=10_000,
-                         bugs=frozenset({"exit-keep-temps"}))
+    v, _ = soundness_run(p, budget=10_000, bugs=_EXIT_KEEP_TEMPS)
     return v in (Verdict.STUCK, Verdict.VIOLATION)
 
 
@@ -301,26 +304,30 @@ def test_shrink_planted_bug_to_small_witness():
             found = prog
             break
     assert found is not None
-    small = shrink(found, _triggers_exit_keep_temps)
+    small = shrink(found, 10_000, _EXIT_KEEP_TEMPS)
     assert _triggers_exit_keep_temps(small)
     assert _count(small.main, Let) < 10
 
 
-def test_shrink_predicate_sees_only_typed_programs():
+def test_shrink_predicate_sees_only_typed_programs(monkeypatch):
+    # Every program shrink runs has type checked.
     found = next(p for p in (generate(GenConfig(seed=s)) for s in range(200))
                  if _triggers_exit_keep_temps(p))
     ill_typed = []
+    runs = []
 
-    def predicate(p) -> bool:
+    def checked_run(p, *args):
         try:
             check_program(p)
         except TypeCheckError:
             ill_typed.append(pretty_program(p))
-            return False
-        return _triggers_exit_keep_temps(p)
+        runs.append(p)
+        return soundness_run(p, *args)
 
-    small = shrink(found, predicate)
+    monkeypatch.setattr(fuzz, "soundness_run", checked_run)
+    small = shrink(found, 10_000, _EXIT_KEEP_TEMPS)
     assert ill_typed == []
+    assert len(runs) > 1
     assert _count(small.main, Let) < _count(found.main, Let)
 
 

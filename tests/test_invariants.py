@@ -326,6 +326,13 @@ _WF_REJECTS = [
     ("exit whose cell holds a non-mut", _EXIT,
      [{"y": "mut H"}, {"w": "tmp Cell[imm C]", "r": "iso C"}],
      ("w", "tmp Cell[mut C]")),
+    ("field-form exit whose binder is a var cell", _EXIT,
+     [{"y": "mut H"}, {"w": "var Cell[mut C]", "r": "iso C"}],
+     ("w", "tmp Cell[mut C]")),
+    ("field-form exit whose binder is a union", _EXIT,
+     [{"y": "mut H"},
+      {"w": "tmp Cell[mut C] | tmp Cell[mut C]", "r": "iso C"}],
+     ("w", "tmp Cell[mut C]")),
     ("exit with one frame", _EXIT,
      [{"y": "mut H", "w": "tmp Cell[mut C]", "r": "iso C"}], None),
     # No program emits these two: the checker's `new` rejects both.
@@ -350,6 +357,18 @@ def test_effect_wf_rejects(case, eff, frames, fix):
         x, t = fix
         frames = frames[:-1] + [{**frames[-1], x: t}]
         assert check_effect_wf(_stack(frames), eff, classes) is not None
+
+
+def test_effect_wf_exits_a_field_form_enter_of_a_var_cell():
+    # enter v.val is the field form on a var cell: its exit effect is that
+    # of enter v, and its binder, a tmp Cell, tells the two apart.
+    prog = parse_program(
+        "class C { } let c = new iso C() in let v = var drop c in "
+        "let x = enter v.val [] { z => let r = new iso C() in drop r } in "
+        "let y = enter v [] { z => let r = new iso C() in drop r } in drop y")
+    check_program(prog)
+    res = TandemRunner(prog, check="each-step").run()
+    assert res.verdict is Verdict.DONE, res.detail
 
 
 def test_config_wf_on_live_machine():

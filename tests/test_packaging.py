@@ -26,6 +26,34 @@ def test_sources_import_only_the_standard_library():
     assert not outside
 
 
+def _unused_imports(path: Path) -> list[str]:
+    """The names path imports and neither reads nor lists in __all__."""
+    tree = ast.parse(path.read_text(), str(path))
+    imported: dict[str, int] = {}
+    used: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported.setdefault(name, node.lineno)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif (isinstance(node, ast.Assign)
+              and [ast.unparse(t) for t in node.targets] == ["__all__"]):
+            used.update(ast.literal_eval(node.value))
+    return [f"{path.name}:{line}: {name}"
+            for name, line in imported.items() if name not in used]
+
+
+def test_no_unused_imports():
+    paths = [*sorted((ROOT / "src" / "reggio").glob("*.py")),
+             *sorted((ROOT / "tests").glob("*.py"))]
+    assert len(paths) > 20, "the scan is vacuous"
+    assert [u for p in paths for u in _unused_imports(p)] == []
+
+
 def test_pyproject_declares_no_dependencies():
     text = (ROOT / "pyproject.toml").read_text()
     assert re.search(r"^dependencies = \[\]$", text, re.M)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from reggio.fuzz import GenConfig, generate
-from reggio.syntax import (_PUNCT, KEYWORDS, Enter, Let, New, ParseError, Use,
+from reggio.syntax import (_PUNCT, KEYWORDS, Enter, Let, New, ParseError,
                            lex, parse_expr, parse_program, parse_type,
                            pretty_expr, pretty_program, pretty_type)
 from reggio.typecheck import TypeCheckError, check_program

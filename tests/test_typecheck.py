@@ -1,10 +1,9 @@
 """Static semantics: rule-named diagnostics and flow-sensitive properties."""
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from subst_reference import FreshNames, alpha_rename
 from reggio.fuzz import GenConfig, generate
-from reggio.model import Cap, CapType, CellHead, ClassName, UnionType
+from reggio.model import Cap, CapType, CellHead, UnionType
 from reggio.syntax import parse_program, parse_type, pretty_program
 from reggio.typecheck import (Checker, TypeCheckError, UNDEF, check_program,
                               fresult_keep_iso, merge_contexts)
@@ -134,6 +133,48 @@ def test_enter_var_rules():
                  "let x = enter v [] { z => z } in x") == "cmd-ty-enter-var"
 
 
+def _diag(src: str) -> tuple[str, str]:
+    with pytest.raises(TypeCheckError) as exc:
+        _check(src)
+    return exc.value.diagnostic.rule, exc.value.diagnostic.msg
+
+
+_HOLDER = "let c = new iso C() in let h = new mut H(drop c) in "
+_CELL = "let c = new iso C() in let v = var drop c in "
+_ISO = "let r = new iso C() in drop r"
+
+
+def test_enter_block_end_premises():
+    # Each premise checked at the end of a block that a program can fail,
+    # in both forms: the result, and the binder.
+    assert _diag(_HOLDER + "let x = enter h.h [] { z => "
+                 "let m = new mut C() in m } in x") == (
+        "cmd-ty-enter", "the block may only return iso's and imm's, got "
+        "mut C")
+    assert _diag(_HOLDER + "let x = enter h.h [] { z => "
+                 f"let d = drop z in {_ISO} }} in x") == (
+        "cmd-ty-enter",
+        "the binding of z must be unchanged at the end of the block")
+    assert _diag(_CELL + "let x = enter v [] { z => "
+                 "let m = new mut C() in m } in x") == (
+        "cmd-ty-enter-var", "the block may only return iso's and imm's, "
+        "got mut C")
+    assert _diag(_CELL + "let x = enter v [] { z => "
+                 f"let d = drop z in {_ISO} }} in x") == (
+        "cmd-ty-enter-var",
+        "the ref cell z must remain bound at the end of the block")
+
+
+def test_enter_var_out_binding():
+    # The cell's final mut content is its iso again after the block.
+    src = ("class C { } class D { } " + _CELL +
+           "let x = enter v [] { z => let m = new mut D() in "
+           f"let o = (z := m) in {_ISO} }} in "
+           "let y = enter v [] { z => let o = *z in "
+           f"{_ISO} }} in drop v")
+    assert check_program(parse_program(src)) == _t("var Cell[iso D]")
+
+
 def test_capture_suspension():
     # mut captures appear paused inside the block
     src = ("let c = new iso C() in let h = new mut H(drop c) in "
@@ -233,7 +274,7 @@ def test_alpha_conversion_preserves_type(seed):
 
 @pytest.mark.parametrize("seed", range(15))
 def test_weakening_with_unused_binding(seed):
-    from reggio.syntax import Let, New, Use
+    from reggio.syntax import Let, New
     prog = generate(GenConfig(seed=seed))
     t1 = check_program(prog)
     prog2 = parse_program(pretty_program(prog))
