@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
 
-from .invariants import ContextStack, Fragments
+from .invariants import Fragments
 from .model import Cap, FunctionTable, FunSig
 from .machine import (BadEnter, Bind, CastEff, Effect, EnterEff, Eps,
                       ExitEff, FreezeEff, Halloc, Load, Machine, MergeEff,
@@ -23,6 +23,7 @@ from .machine import (BadEnter, Bind, CastEff, Effect, EnterEff, Eps,
 from .syntax import (Assign, Call, Deref, Enter, Expr, Freeze, Let, LVal,
                      Merge, New, Program, TypeTest, Use, VarAlloc, rebuild,
                      replace, walk)
+from .typecheck import Gamma
 
 
 class _Failure:
@@ -204,7 +205,7 @@ class Snapshot:
     control: int
     env: dict[str, str]
     stack: list[tuple[LetFrame | EnteredFrame, int]]
-    gammas: Optional[ContextStack]
+    gammas: Optional[list[Gamma]]
     machine: Machine
     fragments: Optional[Fragments]
 
@@ -232,7 +233,8 @@ class TandemRunner:
                  budget: int = 100_000,
                  bugs: frozenset[str] = frozenset(),
                  observer: Optional[Callable] = None) -> None:
-        assert check in ("off", "final", "each-step")
+        if check not in ("off", "final", "each-step"):
+            raise ValueError(f"unknown check mode {check!r}")
         self.prog = prog
         self.check = check
         self.budget = budget
@@ -245,10 +247,10 @@ class TandemRunner:
         self._binders: dict[str, int] = {}
         self.steps = 0
         self._checking = check in ("final", "each-step")
-        self.gammas: Optional[ContextStack] = None
+        self.gammas: Optional[list[Gamma]] = None
         self.fragments: Optional[Fragments] = None
         if self._checking:
-            self.gammas = ContextStack()
+            self.gammas = [{}]
         if check == "each-step":
             self.fragments = Fragments()
 

@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 from .command import Snapshot, TandemRunner, Verdict
 from .model import (Cap, CapType, CellHead, ClassName, ClassTable, FunSig,
                     FunctionTable, Type, UnionType, cap_in, cap_not_in,
-                    fresult, leaves, make_cell, make_imm, make_mut, vpa_type)
+                    fresult, leaves, make_cell, make_imm, make_mut)
 from .syntax import (Assign, Call, Deref, Enter, Expr, Freeze, Let, LVal,
                      Merge, New, Program, TypeTest, Use, VarAlloc,
                      _with_children, fold, parse_type, pretty_program, walk)
@@ -348,28 +348,43 @@ class _Gen:
 
     # -- enters -----------------------------------------------------------------
 
-    def _captures(self, scope: _Scope) -> tuple[list[tuple[str, Use]],
-                                                dict[str, Type]]:
+    def _enter(self, scope: _Scope, n: str, f: Optional[str]) -> None:
+        """Emit a block entering n.f, or the var cell n if f is None.
+
+        Each name in scope.env is drawn as a capture with probability 0.4:
+        an iso is dropped into the block unless locked or adjacent, and any
+        other is kept if it holds no iso or var.  The checker's entry rule
+        (Checker.enter_context) gives the block's context and buries the
+        dropped captures in scope.env; they are then deleted by name.
+        The block is left through the checker's exit rule
+        (Checker.exit_context)."""
         caps: list[tuple[str, Use]] = []
-        body_env: dict[str, Type] = {}
-        for n in list(scope.env):
+        for m in list(scope.env):
             if self.rng.random() > 0.4:
                 continue
-            t = scope.env[n]
+            t = scope.env[m]
             y = self.fresh("k")
             if cap_in({Cap.ISO}, t):
-                if n in scope.locked or n in scope.adjacent:
-                    continue
-                del scope.env[n]
-                caps.append((y, Use(n, True)))
-                body_env[y] = t
-                continue
-            adapted = vpa_type(Cap.PAUSED, t)
-            if adapted is None or not cap_not_in({Cap.ISO, Cap.VAR}, t):
-                continue
-            caps.append((y, Use(n)))
-            body_env[y] = adapted
-        return caps, body_env
+                if m not in scope.locked and m not in scope.adjacent:
+                    caps.append((y, Use(m, True)))
+            elif cap_not_in({Cap.ISO, Cap.VAR}, t):
+                caps.append((y, Use(m)))
+        binder = self.fresh("z" if f is not None else "w")
+        block = self.checker.enter_context(scope.env, tuple(caps), binder,
+                                           n, f, (0, 0))
+        for _, u in caps:
+            if u.drop:
+                del scope.env[u.name]
+        inner = _Scope(env=block, depth=scope.depth - 1)
+        if f is None:
+            inner.adjacent.add(binder)
+        else:
+            inner.locked.add(binder)
+        body, t_body = self._gen_body(inner)
+        self.checker.exit_context(scope.env, inner.env, t_body, binder, n, f,
+                                  (0, 0))
+        self._emit(scope, Enter(LVal(n, f), tuple(caps), binder, body),
+                   t_body, "e")
 
     def _body_result(self, scope: _Scope) -> tuple[Use, Type]:
         imms = [(n, t) for n, t in scope.env.items()
@@ -403,13 +418,13 @@ class _Gen:
     def p_enter(self, scope: _Scope) -> bool:
         if scope.depth <= 0:
             return False
-        holders = [(n, t) for n, t in scope.env.items()
+        holders = [n for n, t in scope.env.items()
                    if (lf := _leaf(t)) is not None
                    and isinstance(lf.head, ClassName)
                    and lf.head.name in self.holders
                    and lf.cap in (Cap.MUT, Cap.TMP, Cap.PAUSED)]
         if holders and self.rng.random() < 0.5:
-            n, t = self.rng.choice(holders)
+            n = self.rng.choice(holders)
         else:
             cls = self.rng.choice(self.holders) if self.holders else None
             if cls is None:
@@ -418,48 +433,28 @@ class _Gen:
                 u = self.materialize(scope, Cap.MUT, cls, fresh=True)
             except _GiveUp:
                 return False
-            n, t = u.name, scope.env[u.name]
-        t_f = self.classes.ftype(_leaf(t).head, "h")
-        caps, body_env = self._captures(scope)
-        binder = self.fresh("z")
-        t_z = CapType(Cap.TMP, CellHead(make_mut(t_f)))
-        body_env[binder] = t_z
-        inner = _Scope(env=body_env, locked={binder},
-                       depth=scope.depth - 1)
-        body, t_body = self._gen_body(inner)
-        self._emit(scope, Enter(LVal(n, "h"), tuple(caps), binder, body),
-                   t_body, "e")
+            n = u.name
+        self._enter(scope, n, "h")
         return True
 
     def p_enter_var(self, scope: _Scope) -> bool:
         if scope.depth <= 0:
             return False
-        targets = [(n, t) for n, t in scope.env.items()
+        targets = [n for n, t in scope.env.items()
                    if (lf := _leaf(t)) is not None and lf.cap is Cap.VAR
                    and cap_in({Cap.ISO}, lf.head.param)
                    and _leaf(lf.head.param) is not None]
         if targets and self.rng.random() < 0.5:
-            n, t = self.rng.choice(targets)
+            n = self.rng.choice(targets)
         else:
             cls = self.rng.choice(["A", "D"])
             try:
                 u = self.materialize(scope, Cap.ISO, cls)
             except _GiveUp:
                 return False
-            t = CapType(Cap.VAR,
-                        CellHead(CapType(Cap.ISO, ClassName(cls))))
-            n = self._emit(scope, VarAlloc(u), t, "v")
-        t_f = _leaf(t).head.param
-        caps, body_env = self._captures(scope)
-        binder = self.fresh("w")
-        body_env[binder] = make_cell(make_mut(t_f))
-        inner = _Scope(env=body_env, adjacent={binder},
-                       depth=scope.depth - 1)
-        body, t_body = self._gen_body(inner)
-        scope.env = self.checker.exit_context(scope.env, inner.env, t_body,
-                                              binder, n, None, (0, 0))
-        self._emit(scope, Enter(LVal(n), tuple(caps), binder, body),
-                   t_body, "e")
+            n = self._emit(scope, VarAlloc(u),
+                           make_cell(CapType(Cap.ISO, ClassName(cls))), "v")
+        self._enter(scope, n, None)
         return True
 
     # -- program ----------------------------------------------------------------

@@ -7,13 +7,13 @@ its block through Checker.enter_context and an exit leaves it through
 Checker.exit_context, as the checker's own enter rules do.
 
 The oracle is deliberately brute force: the graph is rebuilt from scratch
-and the topology predicate is checked pairwise.  It is the executable
-spec; each-step runs first try a fast path (Fragments) that re-checks only
-the frames and region stores a step touched, through the same extraction
-functions and per-ref clauses, and falls back to the spec for any
-configuration it does not pass.  Violation reports are plain dicts of the
-shape {verdict, violations: [{predicate, clause, refs, regions}]} so they
-serialize directly to JSON.
+and the topology predicate is checked over all its refs.  It is the
+executable spec; each-step runs first try a fast path (Fragments) that
+re-checks only the frames and region stores a step touched, through the
+same extraction functions and per-ref clauses, and falls back to the spec
+for any configuration it does not pass.  Violation reports are plain
+dicts of the shape {verdict, violations: [{predicate, clause, refs,
+regions}]} so they serialize directly to JSON.
 """
 from __future__ import annotations
 
@@ -306,20 +306,6 @@ def _location_clause(ref: Ref) -> Optional[str]:
 # topology_ok
 # ---------------------------------------------------------------------------
 
-def topology_pair_ok(rho: RegionOrder, fr: set[int], ref1: Ref,
-                     ref2: Ref) -> bool:
-    """The pairwise disjunction (clauses 1-5)."""
-    if ref1 == ref2:                                   # (1)
-        return True
-    r1d, r2d = ref1.dst.r, ref2.dst.r
-    if r1d != r2d:                                     # (2)/(3) different dst
-        return True
-    if r1d in fr or r2d in fr:                         # (4)
-        return True
-    return (rho.leq(r1d, ref1.src.r)                   # (5) downward/intra
-            or rho.leq(r2d, ref2.src.r))
-
-
 def _external(rho: RegionOrder, fr, ref: Ref) -> bool:
     """Whether ref can break the pairwise disjunction with a partner: its
     destination is not frozen and not at-or-below its source."""
@@ -390,27 +376,8 @@ def frame_entries(m: Machine) -> list[tuple[int, tuple[int, str], int]]:
 
 
 # ---------------------------------------------------------------------------
-# Context stacks and configuration well-formedness
+# Configuration well-formedness
 # ---------------------------------------------------------------------------
-
-@dataclass
-class ContextStack:
-    """Typing contexts mirroring the region stack; bottom first."""
-
-    frames: list[Gamma] = field(default_factory=lambda: [{}])
-
-    def copy_top(self) -> "ContextStack":
-        """A stack with its own copy of the top context and every lower
-        context shared; a caller that writes a lower context copies it
-        first."""
-        frames = self.frames[:]
-        frames[-1] = dict(frames[-1])
-        return ContextStack(frames)
-
-    @property
-    def top(self) -> Gamma:
-        return self.frames[-1]
-
 
 def _tag_matches(obj_tag: str, t: Type, cap: Cap) -> bool:
     """Tag-subtyping: some leaf of t has the value's capability and a head
@@ -427,7 +394,7 @@ def _ids_in(status: dict[int, str], state: str) -> set[int]:
     return {r for r, s in status.items() if s == state}
 
 
-def check_config_wf(gammas: Optional[ContextStack], m: Machine,
+def check_config_wf(gammas: Optional[list[Gamma]], m: Machine,
                     state: Optional["Fragments"] = None) -> dict:
     """Full well-formedness: frame/context agreement (tag-subtyping mode),
     store integrity, capability_ok, and topology_ok.
@@ -461,13 +428,13 @@ def check_config_wf(gammas: Optional[ContextStack], m: Machine,
                         "undefined", [], [r]))
     # Frame typing (tag-subtyping mode).
     if gammas is not None:
-        if len(gammas.frames) != len(m.frames):
+        if len(gammas) != len(m.frames):
             violations.append(_violation(
                 "wf-rs-cons", "context stack height differs from region "
                 "stack height", [], stack_ids))
         else:
             objects = _objects_by_id(m)
-            for gamma, frame in zip(gammas.frames, m.frames):
+            for gamma, frame in zip(gammas, m.frames):
                 _check_frame_typing(gamma, frame, objects, violations)
     try:
         g = build_graph(m)
@@ -601,12 +568,12 @@ class Fragments:
         new.gammas = self.gammas[:]
         return new
 
-    def passes(self, gammas: Optional[ContextStack], m: Machine) -> bool:
+    def passes(self, gammas: Optional[list[Gamma]], m: Machine) -> bool:
         """True if the configuration is well formed; False if the spec
         must decide.  A False leaves the summaries inconsistent, to be
         reset."""
         frames, regions = m.frames, m.regions
-        if gammas is None or len(gammas.frames) != len(frames):
+        if gammas is None or len(gammas) != len(frames):
             return False
         # The regions whose state changed or that left the table (merge).
         status, ids = self.status, self.ids
@@ -702,7 +669,7 @@ class Fragments:
                     return False
         # Frame typing, for the frames checked again or given a new context.
         old_gammas = self.gammas
-        for i, (gamma, frame) in enumerate(zip(gammas.frames, frames)):
+        for i, (gamma, frame) in enumerate(zip(gammas, frames)):
             if (i < len(old_gammas) and old_gammas[i] is gamma
                     and ~frame.r not in touched):
                 continue
@@ -710,7 +677,7 @@ class Fragments:
             if violations:
                 return False
         self.frames = frames[:]
-        self.gammas = gammas.frames[:]
+        self.gammas = gammas[:]
         return True
 
     def _drop(self, key: int) -> None:
@@ -842,21 +809,23 @@ def _checker(classes: ClassTable) -> Checker:
     return Checker(classes, FunctionTable())
 
 
-def check_effect_wf(gammas: ContextStack, eff: Effect,
-                    classes: ClassTable) -> Optional[ContextStack]:
-    """Evolve the context stack by one effect; None if any premise fails.
+def check_effect_wf(gammas: list[Gamma], eff: Effect,
+                    classes: ClassTable) -> Optional[list[Gamma]]:
+    """Evolve the context stack (bottom first) by one effect; None if any
+    premise fails.
 
     Each effect is typed by the checker's rule for the let binding it
-    stands for; a failed premise is the checker's TypeCheckError.  An exit
-    pops the block's context and takes the checker's block-end premises
+    stands for, on a copy of the top context, which the rule writes in
+    place; a failed premise is the checker's TypeCheckError.  An enter
+    pushes the block's context from Checker.enter_context.  An exit pops
+    the block's context and takes the block-end premises
     (Checker.exit_context) on a copy of the context below, which the block
     left as its enter made it: so a field's binder is held to its entry
     type, computed again from the target's.  The result shares every
-    context but the top one with gammas, which is left unchanged."""
-    out = gammas.copy_top()
+    context it does not write with gammas, which is left unchanged."""
+    out = gammas[:]
+    gamma = out[-1] = dict(gammas[-1])
     checker = _checker(classes)
-    # Drops bury variables in the copied top context itself.
-    gamma = checker._owned = out.top
     kind = type(eff)
     try:
         if kind is Bind:
@@ -886,17 +855,15 @@ def check_effect_wf(gammas: ContextStack, eff: Effect,
             t, gamma = checker.check_use(gamma, eff.use)
         elif kind is EnterEff:
             f = None if eff.cap is Cap.VAR else eff.f
-            out.frames[-1], block = checker.enter_context(
-                gamma, eff.captures, eff.w, eff.y, f, (0, 0))
-            out.frames.append(block)
+            out.append(checker.enter_context(gamma, eff.captures, eff.w,
+                                             eff.y, f, (0, 0)))
             return out
         elif kind is ExitEff:
-            if len(out.frames) < 2:
+            if len(out) < 2:
                 return None
-            out.frames.pop()
+            out.pop()
             t, g_out = checker.check_use(gamma, eff.use)
-            # The context below is shared with gammas until now.
-            below = checker._owned = dict(out.frames[-1])
+            below = dict(out[-1])
             # enter x and enter x.val exit alike; the binder's capability
             # tells them apart, as EnterEff's does.
             bare = (eff.f == "val" and _is_var(below.get(eff.y))
@@ -910,5 +877,5 @@ def check_effect_wf(gammas: ContextStack, eff: Effect,
     except TypeCheckError:
         return None
     gamma[eff.x] = t
-    out.frames[-1] = gamma
+    out[-1] = gamma
     return out

@@ -5,6 +5,10 @@ syntax-directed; subsumption (cmd-ty-sub) is applied only at demand sites
 (argument passing, field writes, body-result checks, branch merges), and
 union-typed receivers are handled leafwise, which realizes cmd-ty-split.
 
+A rule writes the context it is handed in place (a drop buries the name
+there) and returns it, or a new context where it must (a type test's
+merge); a caller that still needs its old context passes a copy.
+
 Diagnostics carry the name of the violated rule verbatim and print as
 ``<file>:<line>:<col>: error[<rule-name>]: <message>``.
 """
@@ -104,9 +108,6 @@ class Checker:
                  functions: FunctionTable) -> None:
         self.classes = classes
         self.functions = functions
-        # The context of the innermost let spine being checked, which that
-        # spine alone holds; a drop from it is made in place.
-        self._owned: Gamma | None = None
         # check_new's field types and result type, by (cap, class).
         self._new_heads: dict[tuple[Cap, str], tuple[list, CapType]] = {}
 
@@ -124,8 +125,6 @@ class Checker:
     def check_use(self, gamma: Gamma, u: Use) -> tuple[Type, Gamma]:
         if u.drop:
             t = self.lookup(gamma, u.name, "cmd-ty-use-drop", u.pos)
-            if gamma is not self._owned:
-                gamma = dict(gamma)
             gamma[u.name] = UNDEF
             return t, gamma
         t = self.lookup(gamma, u.name, "cmd-ty-use-keep", u.pos)
@@ -169,28 +168,20 @@ class Checker:
                          adjacent: frozenset[str]) -> tuple[Type, Gamma]:
         """let x1 = b1 in ... let xn = bn in body, checked in a loop.
 
-        One context, copied once, is extended in place, and check_use
-        drops from it in place too; an undo list of (name, shadowed, saved)
-        restores the outer bindings of x1..xn after the body.  This relies
-        on check_expr returning either the context it was given or a new
-        one that nothing else holds, and on no caller reading a context
-        after passing it on."""
+        The spine copies gamma once, so the caller keeps its context, and
+        its rules extend and bury in that copy; an undo list of (name,
+        shadowed, saved) restores the outer bindings of x1..xn after the
+        body."""
         gamma = dict(gamma)
-        outer = self._owned
         undo: list[tuple[str, bool, Binding | None]] = []
-        try:
-            while isinstance(e, Let):
-                self._owned = gamma
-                t_b, gamma = self.check_expr(gamma, e.binding, adjacent)
-                undo.append((e.name, e.name in gamma, gamma.get(e.name)))
-                gamma[e.name] = t_b
-                if e.name in adjacent:
-                    adjacent = adjacent - {e.name}
-                e = e.body
-            self._owned = gamma
-            t, gamma = self.check_expr(gamma, e, adjacent)
-        finally:
-            self._owned = outer
+        while isinstance(e, Let):
+            t_b, gamma = self.check_expr(gamma, e.binding, adjacent)
+            undo.append((e.name, e.name in gamma, gamma.get(e.name)))
+            gamma[e.name] = t_b
+            if e.name in adjacent:
+                adjacent = adjacent - {e.name}
+            e = e.body
+        t, gamma = self.check_expr(gamma, e, adjacent)
         for name, shadow, saved in reversed(undo):
             if shadow:
                 gamma[name] = saved
@@ -269,9 +260,8 @@ class Checker:
             _fail("cmd-ty-assign-var",
                   f"the old content of {x}: {pretty_type(t_x)} cannot be "
                   "read out (viewpoint adaptation undefined)", pos)
-        g3 = dict(g2)
-        g3[x] = make_cell(t_u)
-        return t_f, g3
+        g2[x] = make_cell(t_u)
+        return t_f, g2
 
     def check_var_alloc(self, gamma: Gamma, use: Use,
                         pos: Pos) -> tuple[Type, Gamma]:
@@ -348,12 +338,11 @@ class Checker:
     def enter_context(self, gamma: Gamma,
                       captures: tuple[tuple[str, Use], ...], binder: str,
                       x: str, f: str | None,
-                      pos: Pos) -> tuple[Gamma, Gamma]:
+                      pos: Pos) -> Gamma:
         """The entry premises of cmd-ty-enter (target x.f) and
-        cmd-ty-enter-var (target x, f None): thread the capture uses
-        through gamma, check the target, and build the block's context of
-        suspended captures and the binder.  Returns gamma after the
-        captures, and the block's context."""
+        cmd-ty-enter-var (target x, f None): take the capture uses from
+        gamma, burying the dropped ones there, check the target, and
+        return the block's context of suspended captures and the binder."""
         rule = "cmd-ty-enter-var" if f is None else "cmd-ty-enter"
         seen: set[str] = set()
         body_ctx: Gamma = {}
@@ -376,7 +365,7 @@ class Checker:
                       "(viewpoint adaptation undefined)", u.pos)
             body_ctx[y] = adapted
         body_ctx[binder] = self._binder_type(gamma, x, f, pos)
-        return gamma, body_ctx
+        return body_ctx
 
     def _binder_type(self, gamma: Gamma, x: str, f: str | None,
                      pos: Pos) -> Type:
@@ -413,11 +402,10 @@ class Checker:
                      binder: str, x: str, f: str | None, pos: Pos) -> Gamma:
         """The block-end premises of cmd-ty-enter (target x.f) and
         cmd-ty-enter-var (target x, f None), given gamma as enter_context
-        returned it and the block's result type and final context: the
-        result is iso or imm; a field's binder still has its entry type; a
-        var cell's binder is still a var Cell, whose mut contents the
-        target then holds as iso.  Like check_use, it writes gamma in place
-        only if the checker owns it."""
+        left it and the block's result type and final context: the result
+        is iso or imm; a field's binder still has its entry type; a var
+        cell's binder is still a var Cell, whose mut contents the target
+        then holds as iso, written into gamma, which is returned."""
         rule = "cmd-ty-enter-var" if f is None else "cmd-ty-enter"
         if not cap_in({Cap.ISO, Cap.IMM}, t_body):
             _fail(rule, f"the block may only return iso's and imm's, got "
@@ -441,8 +429,6 @@ class Checker:
         if not cap_in({Cap.MUT}, contents):
             _fail(rule, f"the final content of {binder} must be mut, got "
                         f"{pretty_type(contents)}", pos)
-        if gamma is not self._owned:
-            gamma = dict(gamma)
         gamma[x] = make_cell(make_iso(contents))
         return gamma
 
@@ -451,8 +437,8 @@ class Checker:
             from .command import desugar_explore
             return self.check_expr(gamma, desugar_explore(e))
         x, f = e.target.name, e.target.fld
-        gamma, body_ctx = self.enter_context(gamma, e.captures, e.binder,
-                                             x, f, e.pos)
+        body_ctx = self.enter_context(gamma, e.captures, e.binder, x, f,
+                                      e.pos)
         adjacent = frozenset() if f is not None else frozenset({e.binder})
         t_body, g_out = self.check_expr(body_ctx, e.body, adjacent)
         return t_body, self.exit_context(gamma, g_out, t_body, e.binder, x,
@@ -469,19 +455,17 @@ class Checker:
         saved = g0.get(e.binder)
         inner_adj = adjacent - {e.binder}
 
-        def branch(bind_t: Type, body: Expr) -> tuple[Type, Gamma]:
-            g = dict(g0)
+        def branch(g: Gamma, bind_t: Type, body: Expr) -> tuple[Type, Gamma]:
             g[e.binder] = bind_t
             t, g_out = self.check_expr(g, body, inner_adj)
-            g_out = dict(g_out)
             if shadow:
                 g_out[e.binder] = saved
             else:
                 del g_out[e.binder]
             return t, g_out
 
-        t1, g1 = branch(e.ty, e.then)
-        t2, g2 = branch(t_u, e.els)
+        t1, g1 = branch(dict(g0), e.ty, e.then)
+        t2, g2 = branch(g0, t_u, e.els)
         merged = merge_contexts(g1, g2)
         result = t1 if t1 == t2 else UnionType(t1, t2)
         return result, merged

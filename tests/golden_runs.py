@@ -102,8 +102,7 @@ def effect_wf_digest(seeds=GOLDEN_SEEDS) -> str:
 
     def recorded(gammas, eff, classes):
         out = evolve(gammas, eff, classes)
-        frames = None if out is None else [sorted(g.items())
-                                           for g in out.frames]
+        frames = None if out is None else [sorted(g.items()) for g in out]
         h.update(repr((eff, frames)).encode())
         return out
 

@@ -156,11 +156,7 @@ class SubstRunner:
         self.de: DynExpr = prog.main
         self.steps = 0
         self._checking = check in ("final", "each-step")
-        if self._checking:
-            from reggio.invariants import ContextStack
-            self.gammas = ContextStack()
-        else:
-            self.gammas = None
+        self.gammas = [{}] if self._checking else None
 
     # -- redex selection ---------------------------------------------------------
 

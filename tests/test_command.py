@@ -320,6 +320,14 @@ def test_a_run_that_ends_on_its_last_budgeted_step_is_not_cut():
             assert (res.verdict, res.steps) == (Verdict.BUDGET, steps - 1)
 
 
+def test_unknown_check_mode_is_an_error():
+    # Raised, not asserted: under python -O an assert would let "each"
+    # run unchecked.
+    prog = parse_program("class A { }\nlet x = new mut A() in x")
+    with pytest.raises(ValueError, match="'each'"):
+        TandemRunner(prog, check="each")
+
+
 def test_failed_on_reentering_open_region():
     prog = parse_program((CORPUS / "reenter_open.rgo").read_text())
     check_program(prog)

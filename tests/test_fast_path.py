@@ -11,8 +11,7 @@ import pytest
 from reggio import invariants
 from reggio.command import TandemRunner, Verdict, desugar_program
 from reggio.fuzz import GenConfig, generate
-from reggio.invariants import (ContextStack, Fragments, GraphError, Temp,
-                               check_config_wf)
+from reggio.invariants import Fragments, GraphError, Temp, check_config_wf
 from reggio.machine import (CLOSED, EFFECT_NAMES, FROZEN, KNOWN_BUGS,
                             V_UNDEF, Bind, EnterEff, Eps, FreezeEff, Halloc,
                             Machine, Object, Salloc, Swap)
@@ -82,7 +81,7 @@ def _classes() -> ClassTable:
 
 def _check(m: Machine, state: Lockstep, eff) -> dict:
     state.effect = eff
-    report = check_config_wf(ContextStack(), m, state)
+    report = check_config_wf([{}], m, state)
     assert not state.mismatches
     return report
 
@@ -118,14 +117,14 @@ def test_region_change_rechecks_refs_into_it():
     m.regions[r].state = FROZEN
     report = _check(m, state, Eps())
     assert not report["verdict"]
-    assert report == check_config_wf(ContextStack(), m)
+    assert report == check_config_wf([{}], m)
 
 
 def test_entry_chain_is_rechecked():
     """An entered region's entry-point chain is checked again when the
     frame below it changes: here its root edge to the bridge object."""
     m, state = Machine(_classes()), Lockstep()
-    gammas = ContextStack()
+    gammas = [{}]
     for eff in (Halloc("c", Cap.ISO, "C", ()),
                 Halloc("h", Cap.MUT, "H", (Use("c", True),))):
         m.step_effect(eff)
@@ -133,7 +132,7 @@ def test_entry_chain_is_rechecked():
         assert check_config_wf(gammas, m, state)["verdict"]
     eff = EnterEff("w", Cap.TMP, "h", "h", (("z", Use("h")),))
     m.step_effect(eff)
-    gammas.frames.append({})
+    gammas.append({})
     m.frames[0].vars["h"] = V_UNDEF  # only the paused z still reaches h
     state.effect = eff
     report = check_config_wf(gammas, m, state)
@@ -193,7 +192,7 @@ def test_paused_ref_into_var_cell_of_frame_below():
     """A paused ref from the top frame into the var cell of the frame below
     is a second ref into the cell: var_unique spans frames."""
     m, state = Machine(_classes()), Lockstep()
-    gammas = ContextStack()
+    gammas = [{}]
     for eff in (Halloc("a", Cap.MUT, "C", ()),
                 Salloc("v", Cap.VAR, "Cell", (Use("a"),)),
                 Halloc("c", Cap.ISO, "C", ()),
@@ -201,7 +200,7 @@ def test_paused_ref_into_var_cell_of_frame_below():
                 EnterEff("w", Cap.TMP, "h", "h", ())):
         m.step_effect(eff)
         if isinstance(eff, EnterEff):
-            gammas.frames.append({})
+            gammas.append({})
         state.effect = eff
         assert check_config_wf(gammas, m, state)["verdict"]
     _, iota_v = m.frames[0].vars["v"]
@@ -216,17 +215,17 @@ def test_new_context_retypes_untouched_frame():
     """A frame the step did not touch is typed again when its context is
     not the one the last check saw."""
     m, state = Machine(_classes()), Lockstep()
-    gammas = ContextStack()
+    gammas = [{}]
     for eff in (Halloc("c", Cap.ISO, "C", ()),
                 Halloc("h", Cap.MUT, "H", (Use("c", True),)),
                 EnterEff("w", Cap.TMP, "h", "h", ())):
         m.step_effect(eff)
         if isinstance(eff, EnterEff):
-            gammas.frames.append({})
+            gammas.append({})
         state.effect = eff
         assert check_config_wf(gammas, m, state)["verdict"]
     # The bottom frame binds h to an H object; a new context types it C.
-    gammas.frames[0] = {"h": parse_type("mut C")}
+    gammas[0] = {"h": parse_type("mut C")}
     state.effect = Eps()
     assert not check_config_wf(gammas, m, state)["verdict"]
     assert not state.mismatches
@@ -238,7 +237,7 @@ def _three_frames(prefix, captures=()) -> tuple:
     capturing h2 as the paused z and any other captures, and frame 2
     (c2's region) through z.h."""
     m, state = Machine(_classes()), Lockstep()
-    gammas = ContextStack()
+    gammas = [{}]
     steps = (*prefix,
              Halloc("c", Cap.ISO, "C", ()),
              Halloc("h", Cap.MUT, "H", (Use("c", True),)),
@@ -249,7 +248,7 @@ def _three_frames(prefix, captures=()) -> tuple:
     for eff in steps:
         m.step_effect(eff)
         if isinstance(eff, EnterEff):
-            gammas.frames.append({})
+            gammas.append({})
         state.effect = eff
         assert check_config_wf(gammas, m, state)["verdict"]
     assert len(m.frames) == 3
@@ -366,17 +365,19 @@ def test_final_state_goes_to_spec():
 
 
 def test_effect_wf_leaves_input_contexts_unchanged(monkeypatch):
-    """check_effect_wf copies the top context only, and the frame below
-    on exit before writing it: the input stack never changes."""
+    """check_effect_wf copies the list and its top context, and the
+    context below on exit before writing it: neither the input list nor
+    any context in it changes."""
     evolve = invariants.check_effect_wf
     seen = set()
 
     def checked(gammas, eff, classes):
-        before = [dict(g) for g in gammas.frames]
-        dicts = gammas.frames[:]
+        before = [dict(g) for g in gammas]
+        dicts = gammas[:]
         out = evolve(gammas, eff, classes)
-        assert [dict(g) for g in gammas.frames] == before
-        assert all(a is b for a, b in zip(gammas.frames, dicts))
+        assert len(gammas) == len(dicts)
+        assert all(a is b for a, b in zip(gammas, dicts))
+        assert [dict(g) for g in gammas] == before
         seen.add(EFFECT_NAMES[type(eff)])
         return out
 

@@ -3,12 +3,11 @@ import pytest
 
 from reggio.command import TandemRunner, Verdict
 from reggio.fuzz import GenConfig, generate
-from reggio.invariants import (ConfigGraph, ContextStack, Fragments,
-                               GraphError, Heap, Ref, RegionOrder, Root,
-                               Temp, _tag_matches, build_graph,
-                               capability_ok, check_config_wf,
+from reggio.invariants import (ConfigGraph, Fragments, GraphError, Heap, Ref,
+                               RegionOrder, Root, Temp, _tag_matches,
+                               build_graph, capability_ok, check_config_wf,
                                check_effect_wf, frame_entries,
-                               region_order_of, topology_ok, topology_pair_ok)
+                               region_order_of, topology_ok)
 from reggio.machine import (CLOSED, FROZEN, KNOWN_BUGS, Bind, EnterEff,
                             ExitEff, Frame, FreezeEff, Halloc, Load, Machine,
                             MergeEff, Object, Region, Salloc, Swap, V_UNDEF)
@@ -212,6 +211,21 @@ def test_capability_clause_text(ref, order, cl, fr, predicate, clause):
 
 # -- topology spot checks (hand-built graphs) ------------------------------------
 
+def topology_pair_ok(rho: RegionOrder, fr: set[int], ref1: Ref,
+                     ref2: Ref) -> bool:
+    """The pairwise disjunction (clauses 1-5): the quadratic definition
+    that the grouped topology_ok is compared against."""
+    if ref1 == ref2:                                   # (1)
+        return True
+    r1d, r2d = ref1.dst.r, ref2.dst.r
+    if r1d != r2d:                                     # (2)/(3) different dst
+        return True
+    if r1d in fr or r2d in fr:                         # (4)
+        return True
+    return (rho.leq(r1d, ref1.src.r)                   # (5) downward/intra
+            or rho.leq(r2d, ref2.src.r))
+
+
 def test_topology_paused_back_edge_allowed():
     # e lives in the active region 1; n sits in suspended region 0 below it.
     # The paused edge e->n plus the frame's own edge into region 0 are fine:
@@ -266,15 +280,13 @@ def test_entrypoint_chain_required():
 
 def test_effect_wf_rejects_unbound_use():
     classes = _classes()
-    out = check_effect_wf(ContextStack(), Bind((("x", Use("ghost")),)),
-                          classes)
+    out = check_effect_wf([{}], Bind((("x", Use("ghost")),)), classes)
     assert out is None
 
 
 def test_effect_wf_accepts_alloc_then_bind():
     classes = _classes()
-    gs = check_effect_wf(ContextStack(), Halloc("x", Cap.MUT, "C", ()),
-                         classes)
+    gs = check_effect_wf([{}], Halloc("x", Cap.MUT, "C", ()), classes)
     assert gs is not None
     gs2 = check_effect_wf(gs, Bind((("y", Use("x")),)), classes)
     assert gs2 is not None
@@ -343,9 +355,8 @@ _WF_REJECTS = [
 ]
 
 
-def _stack(frames) -> ContextStack:
-    return ContextStack([{x: parse_type(t) for x, t in g.items()}
-                         for g in frames])
+def _stack(frames) -> list:
+    return [{x: parse_type(t) for x, t in g.items()} for g in frames]
 
 
 @pytest.mark.parametrize("case,eff,frames,fix", _WF_REJECTS,

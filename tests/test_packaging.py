@@ -54,6 +54,53 @@ def test_no_unused_imports():
     assert [u for p in paths for u in _unused_imports(p)] == []
 
 
+def _module_level_names(tree: ast.Module) -> dict[str, int]:
+    """The functions, classes and constants a module defines at its top
+    level, dunders aside, by line."""
+    names: dict[str, int] = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names[node.name] = node.lineno
+        elif isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    names[target.id] = node.lineno
+        elif isinstance(node, ast.AnnAssign):
+            if isinstance(node.target, ast.Name):
+                names[node.target.id] = node.lineno
+    return {n: line for n, line in names.items()
+            if not (n.startswith("__") and n.endswith("__"))}
+
+
+def _names_read(tree: ast.Module) -> set[str]:
+    """The names a module reads, as a name or attribute, imports or lists
+    in __all__."""
+    read: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+        elif (isinstance(node, ast.Assign)
+              and [ast.unparse(t) for t in node.targets] == ["__all__"]):
+            read.update(ast.literal_eval(node.value))
+    return read
+
+
+def test_no_dead_module_level_definitions():
+    """Every module-level function, class and constant of the package is
+    named somewhere in it besides its definition, or exported."""
+    trees = {path.name: ast.parse(path.read_text(), str(path))
+             for path in sorted((ROOT / "src" / "reggio").glob("*.py"))}
+    read = set().union(*map(_names_read, trees.values()))
+    defined = [(f"{name}:{line}: {n}", n) for name, tree in trees.items()
+               for n, line in _module_level_names(tree).items()]
+    assert len(defined) > 100, "the scan is vacuous"
+    assert [where for where, n in defined if n not in read] == []
+
+
 def test_pyproject_declares_no_dependencies():
     text = (ROOT / "pyproject.toml").read_text()
     assert re.search(r"^dependencies = \[\]$", text, re.M)

@@ -4,7 +4,7 @@ import pytest
 from subst_reference import FreshNames, alpha_rename
 from reggio.fuzz import GenConfig, generate
 from reggio.model import Cap, CapType, CellHead, UnionType
-from reggio.syntax import parse_program, parse_type, pretty_program
+from reggio.syntax import Use, parse_program, parse_type, pretty_program
 from reggio.typecheck import (Checker, TypeCheckError, UNDEF, check_program,
                               fresult_keep_iso, merge_contexts)
 
@@ -252,6 +252,31 @@ def test_let_spine_drops_leave_the_callers_context():
     assert t == _t("imm C")
     assert gamma == {"a": _t("iso C")}
     assert g_out == {"a": UNDEF}
+
+
+def _checker() -> Checker:
+    prog = parse_program(_PRELUDE + "let m = new mut C() in m")
+    return Checker(prog.classes, prog.functions)
+
+
+def test_check_use_drop_buries_in_the_context_it_is_given():
+    # A rule writes the context it is handed: the drop buries the name in
+    # the caller's own dict.
+    gamma = {"a": _t("iso C"), "m": _t("mut C")}
+    t, g_out = _checker().check_use(gamma, Use("a", True))
+    assert t == _t("iso C")
+    assert g_out is gamma
+    assert gamma == {"a": UNDEF, "m": _t("mut C")}
+
+
+def test_exit_context_var_form_writes_the_context_it_is_given():
+    # Leaving enter v, the cell's final mut content goes back into v as
+    # iso, in the dict enter_context was given.
+    gamma = {"v": _t("var Cell[iso C]")}
+    g_out = _checker().exit_context(gamma, {"z": _t("var Cell[mut D]")},
+                                    _t("iso C"), "z", "v", None, (0, 0))
+    assert g_out is gamma
+    assert gamma == {"v": _t("var Cell[iso D]")}
 
 
 # -- properties over generated programs ----------------------------------------
