@@ -455,12 +455,6 @@ class TandemRunner:
         an empty stack."""
         if self.control is FAILURE:
             return self._end(Verdict.FAILED, "badenter")
-        if self.check == "final":
-            from .invariants import check_config_wf
-            report = check_config_wf(self.gammas, self.machine)
-            if not report["verdict"]:
-                return RunResult(Verdict.VIOLATION, self.steps,
-                                 "final state ill-formed", report)
         return self._end(Verdict.DONE,
                          str(rename_use(self.control, self.env)))
 
@@ -472,13 +466,16 @@ class TandemRunner:
         return RunResult(Verdict.VIOLATION, self.steps, detail, report)
 
     def _end(self, verdict: Verdict, detail: str = "") -> RunResult:
-        """The run's result.  Under each-step the final state also goes to
-        the full check, so a run ends on the spec's verdict whatever the
-        fast path passed."""
-        if self.fragments is not None:
+        """The run's result.  Under a checked mode the final state goes to
+        the full check, whatever the run's verdict: under final it is the
+        one configuration check, and under each-step a run ends on the
+        spec's verdict whatever the fast path passed."""
+        if self._checking:
             from .invariants import check_config_wf
             report = check_config_wf(self.gammas, self.machine)
             if not report["verdict"]:
                 return RunResult(Verdict.VIOLATION, self.steps,
-                                 "invariant violation", report)
+                                 "invariant violation"
+                                 if self.fragments is not None
+                                 else "final state ill-formed", report)
         return RunResult(verdict, self.steps, detail)

@@ -261,9 +261,6 @@ class ClassTable:
     def __contains__(self, name: str) -> bool:
         return name in self._classes
 
-    def names(self) -> list[str]:
-        return list(self._classes)
-
     def ftypes(self, head: ClassHead) -> list[tuple[str, Type]]:
         if isinstance(head, CellHead):
             return [("val", head.param)]

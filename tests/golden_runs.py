@@ -19,8 +19,12 @@ hunts: the sha256 over each ``campaign`` from start seeds 0, 1000 and
 2000 against each planted bug, its abort seed, run count and shrunk
 counterexample.
 
-    python tests/golden_runs.py --write      rewrite runs.txt and
-                                             effect_wf.digest
+    python tests/golden_runs.py --write      rewrite runs.txt and the
+                                             four digest files
+    python tests/golden_runs.py --check      compute the four digests,
+                                             compare each with its file,
+                                             and exit 1 naming any that
+                                             differ
     python tests/golden_runs.py --digest     print the sha256 over seeds
                                              0-199, pinned in runs.digest
     python tests/golden_runs.py --effect-wf  print the effect
@@ -48,6 +52,7 @@ from reggio.machine import KNOWN_BUGS  # noqa: E402
 from reggio.syntax import pretty_program  # noqa: E402
 
 RUNS_TXT = Path(__file__).parent / "golden" / "runs.txt"
+RUNS_DIGEST = Path(__file__).parent / "golden" / "runs.digest"
 EFFECT_WF_DIGEST = Path(__file__).parent / "golden" / "effect_wf.digest"
 PROGRAMS_DIGEST = Path(__file__).parent / "golden" / "programs.digest"
 WITNESSES_DIGEST = Path(__file__).parent / "golden" / "witnesses.digest"
@@ -141,14 +146,25 @@ def witnesses_digest() -> str:
     return h.hexdigest()
 
 
-DIGESTS = {"--digest": digest, "--effect-wf": effect_wf_digest,
-           "--programs": programs_digest, "--witnesses": witnesses_digest}
+# Each digest's option, its function and the file that pins it.
+DIGESTS = {"--digest": (digest, RUNS_DIGEST),
+           "--effect-wf": (effect_wf_digest, EFFECT_WF_DIGEST),
+           "--programs": (programs_digest, PROGRAMS_DIGEST),
+           "--witnesses": (witnesses_digest, WITNESSES_DIGEST)}
 
 if __name__ == "__main__":
-    if sys.argv[1:] == ["--write"]:
+    args = sys.argv[1:]
+    if args == ["--write"]:
         RUNS_TXT.write_text("\n".join(run_lines()) + "\n")
-        EFFECT_WF_DIGEST.write_text(effect_wf_digest() + "\n")
-    elif len(sys.argv) == 2 and sys.argv[1] in DIGESTS:
-        print(DIGESTS[sys.argv[1]]())
+        for compute, path in DIGESTS.values():
+            path.write_text(compute() + "\n")
+    elif args == ["--check"]:
+        differ = [path.name for compute, path in DIGESTS.values()
+                  if compute() != path.read_text().strip()]
+        if differ:
+            raise SystemExit("differ from their files: " + ", ".join(differ))
+        print(f"all {len(DIGESTS)} digests match their files")
+    elif len(args) == 1 and args[0] in DIGESTS:
+        print(DIGESTS[args[0]][0]())
     else:
         raise SystemExit(__doc__)

@@ -328,6 +328,24 @@ def test_unknown_check_mode_is_an_error():
         TandemRunner(prog, check="each")
 
 
+def test_final_mode_checks_the_final_state_of_a_failed_run():
+    # Seed 4 under shallow-freeze ends badenter after 23 steps, with a
+    # final state that each-step rejects at step 4: final must reject it
+    # too, whatever the run's own verdict.
+    prog = generate(GenConfig(seed=4, max_depth=8))
+    bugs = frozenset({"shallow-freeze"})
+    off = TandemRunner(prog, check="off", budget=3_000, bugs=bugs).run()
+    assert (off.verdict, off.steps, off.detail) == (Verdict.FAILED, 23,
+                                                    "badenter")
+    final = TandemRunner(prog, check="final", budget=3_000, bugs=bugs).run()
+    assert (final.verdict, final.steps, final.detail) == (
+        Verdict.VIOLATION, 23, "final state ill-formed")
+    assert not final.report["verdict"]
+    each = TandemRunner(prog, check="each-step", budget=3_000,
+                        bugs=bugs).run()
+    assert (each.verdict, each.steps) == (Verdict.VIOLATION, 4)
+
+
 def test_failed_on_reentering_open_region():
     prog = parse_program((CORPUS / "reenter_open.rgo").read_text())
     check_program(prog)

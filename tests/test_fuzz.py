@@ -9,9 +9,11 @@ from reggio.fuzz import (CampaignResult, GenConfig, _Tree, _unused_sites,
                          _rebuild, _used_decls, campaign, generate, shrink,
                          soundness_run)
 from reggio.machine import KNOWN_BUGS
+from reggio.model import Cap, ClassName, leaves
 from reggio.syntax import (Assign, Call, Deref, Enter, Freeze, Let, LVal,
                            Merge, New, TypeTest, Use, VarAlloc, parse_program,
-                           pretty_expr, pretty_program, rebuild, walk)
+                           parse_type, pretty_expr, pretty_program, rebuild,
+                           walk)
 from reggio.typecheck import TypeCheckError, check_program
 
 
@@ -31,9 +33,40 @@ def _count(e, kind) -> int:
 
 
 def test_generated_programs_typecheck():
-    for seed in range(40):
-        prog = generate(GenConfig(seed=seed))
-        check_program(prog)  # raises on failure
+    for depth in (1, 4, 8):
+        for seed in range(40):
+            prog = generate(GenConfig(seed=seed, max_depth=depth))
+            check_program(prog)  # raises on failure
+
+
+def test_generation_needs_no_whole_program_check(monkeypatch):
+    # The generator types each statement as it emits it; the checker's
+    # whole-program pass only confirms the result.
+    def refuse(prog):
+        raise AssertionError("generate called check_program")
+
+    monkeypatch.setattr(fuzz, "check_program", refuse)
+    for depth in (1, 4, 8):
+        for seed in range(50):
+            prog = generate(GenConfig(seed=seed, max_depth=depth))
+            check_program(prog)  # the checker's own, not patched
+
+
+def test_menu_always_offers_a_constructor_argument():
+    # Each field has a class-headed leaf that an iso constructor can take
+    # (iso or imm) and one that any other can (mut, imm or iso), so every
+    # class can be built; and no class has two fields with an iso leaf, so
+    # a drawn drop is taken by the next statement the generator emits.
+    for cls, fields in fuzz._MENU:
+        isos = 0
+        for fname, src in fields:
+            heads = [lf for lf in leaves(parse_type(src))
+                     if isinstance(lf.head, ClassName)]
+            assert any(lf.cap in (Cap.ISO, Cap.IMM) for lf in heads), fname
+            assert any(lf.cap in (Cap.MUT, Cap.IMM, Cap.ISO)
+                       for lf in heads), fname
+            isos += any(lf.cap is Cap.ISO for lf in heads)
+        assert isos <= 1, cls
 
 
 def test_generation_is_deterministic():
