@@ -122,13 +122,48 @@ class Checker:
                         "(consumed by an earlier drop)", pos)
         return b
 
+    # -- premises, shared by the rules named beside them and the generator
+
+    def keeps(self, t: Type) -> bool:  # cmd-ty-use-keep
+        return cap_not_in({Cap.ISO, Cap.VAR}, t)
+
+    def new_arg(self, cap: Cap, t_a: Type) -> bool:  # cmd-ty-new
+        return cap is not Cap.ISO or cap_in({Cap.ISO, Cap.IMM}, t_a)
+
+    def is_var(self, t_x: Type) -> bool:  # cmd-ty-deref-var, -assign-var,
+        return cap_in({Cap.VAR}, t_x)      # -enter-var
+
+    def reads(self, t_x: Type, f: str) -> Type | None:  # cmd-ty-deref-*,
+        return fresult(t_x, f, self.classes)             # -assign-var
+
+    def writes_through(self, t_x: Type) -> bool:  # cmd-ty-assign
+        return cap_in({Cap.MUT, Cap.TMP}, t_x)
+
+    def bridges(self, t_u: Type) -> bool:  # cmd-ty-assign-var-adjacent,
+        return cap_in({Cap.MUT}, t_u)         # -enter-var's exit
+
+    def freezes(self, t: Type) -> bool:  # cmd-ty-freeze
+        return cap_in({Cap.ISO}, t)
+
+    def merges(self, t: Type) -> bool:  # cmd-ty-merge
+        return cap_in({Cap.ISO}, t)
+
+    def suspends(self, t: Type) -> Type | None:  # cmd-ty-enter(-var)
+        return t if cap_in({Cap.ISO}, t) else vpa_type(Cap.PAUSED, t)
+
+    def enters(self, t_f: Type) -> bool:  # cmd-ty-enter(-var)
+        return cap_in({Cap.ISO}, t_f)
+
+    def exits(self, t: Type) -> bool:  # cmd-ty-enter(-var)
+        return cap_in({Cap.ISO, Cap.IMM}, t)
+
     def check_use(self, gamma: Gamma, u: Use) -> tuple[Type, Gamma]:
         if u.drop:
             t = self.lookup(gamma, u.name, "cmd-ty-use-drop", u.pos)
             gamma[u.name] = UNDEF
             return t, gamma
         t = self.lookup(gamma, u.name, "cmd-ty-use-keep", u.pos)
-        if not cap_not_in({Cap.ISO, Cap.VAR}, t):
+        if not self.keeps(t):
             _fail("cmd-ty-use-keep",
                   f"plain read of {u.name}: {pretty_type(t)} would "
                   f"duplicate an iso/var; use `drop {u.name}`", u.pos)
@@ -194,11 +229,11 @@ class Checker:
         """*x, or *x.f unless f is None."""
         if f is None:
             t_x = self.lookup(gamma, x, "cmd-ty-deref-var", pos)
-            if not cap_in({Cap.VAR}, t_x):
+            if not self.is_var(t_x):
                 _fail("cmd-ty-deref-var",
                       f"*{x} requires a var binding, got "
                       f"{pretty_type(t_x)}", pos)
-            t = fresult(t_x, "val", self.classes)
+            t = self.reads(t_x, "val")
             if t is None:
                 _fail("cmd-ty-deref-var",
                       f"viewpoint adaptation of *{x} is undefined "
@@ -208,7 +243,7 @@ class Checker:
         if not cap_not_in({Cap.ISO}, t_x):
             _fail("cmd-ty-deref-field",
                   f"receiver {x}: {pretty_type(t_x)} may not be iso", pos)
-        t = fresult(t_x, f, self.classes)
+        t = self.reads(t_x, f)
         if t is None:
             _fail("cmd-ty-deref-field",
                   f"*{x}.{f} is undefined through {pretty_type(t_x)} "
@@ -226,7 +261,7 @@ class Checker:
                   pos)
         if f is not None:
             t_x = self.lookup(g2, x, "cmd-ty-assign", pos)
-            if not cap_in({Cap.MUT, Cap.TMP}, t_x):
+            if not self.writes_through(t_x):
                 _fail("cmd-ty-assign",
                       f"field update needs a mut/tmp receiver, "
                       f"{x} is {pretty_type(t_x)}", pos)
@@ -244,18 +279,18 @@ class Checker:
             return old, g2
         # Strong update of a var cell.
         t_x = self.lookup(g2, x, "cmd-ty-assign-var", pos)
-        if not cap_in({Cap.VAR}, t_x):
+        if not self.is_var(t_x):
             _fail("cmd-ty-assign-var",
                   f"{x} := requires a var binding, got {pretty_type(t_x)}",
                   pos)
-        if x in adjacent and not cap_in({Cap.MUT}, t_u):
+        if x in adjacent and not self.bridges(t_u):
             t_mut = map_leaves(t_u, lambda l: CapType(Cap.MUT, l.head))
             _fail("cmd-ty-assign-var-adjacent",
                   f"rejected: {use} is {pretty_type(t_u)}, not "
                   f"{pretty_type(t_mut)}"
                   " — the bridge cell of an entered region must hold a mut",
                   pos)
-        t_f = fresult(t_x, "val", self.classes)
+        t_f = self.reads(t_x, "val")
         if t_f is None:
             _fail("cmd-ty-assign-var",
                   f"the old content of {x}: {pretty_type(t_x)} cannot be "
@@ -295,7 +330,7 @@ class Checker:
                 _fail("cmd-ty-new",
                       f"argument for {cls}.{fname}: {pretty_type(t_a)} "
                       f"is not a subtype of {pretty_type(ftype)}", arg.pos)
-            if cap is Cap.ISO and not cap_in({Cap.ISO, Cap.IMM}, t_a):
+            if not self.new_arg(cap, t_a):
                 _fail("cmd-ty-new",
                       f"iso constructor arguments must be iso or imm, "
                       f"{fname} gets {pretty_type(t_a)}", arg.pos)
@@ -304,7 +339,7 @@ class Checker:
     def check_freeze(self, gamma: Gamma, use: Use,
                      pos: Pos) -> tuple[Type, Gamma]:
         t, g2 = self.check_use(gamma, use)
-        if not cap_in({Cap.ISO}, t):
+        if not self.freezes(t):
             _fail("cmd-ty-freeze",
                   f"freeze demands an iso value, got {pretty_type(t)}",
                   pos)
@@ -313,7 +348,7 @@ class Checker:
     def check_merge(self, gamma: Gamma, use: Use,
                     pos: Pos) -> tuple[Type, Gamma]:
         t, g2 = self.check_use(gamma, use)
-        if not cap_in({Cap.ISO}, t):
+        if not self.merges(t):
             _fail("cmd-ty-merge",
                   f"merge demands an iso value, got {pretty_type(t)}",
                   pos)
@@ -351,10 +386,7 @@ class Checker:
                 _fail(rule, f"duplicate capture name {y}", u.pos)
             seen.add(y)
             t_i, gamma = self.check_use(gamma, u)
-            if cap_in({Cap.ISO}, t_i):
-                body_ctx[y] = t_i
-                continue
-            adapted = vpa_type(Cap.PAUSED, t_i)
+            adapted = self.suspends(t_i)
             if adapted is None:
                 if any(leaf.cap is Cap.VAR for leaf in leaves(t_i)):
                     _fail(rule,
@@ -364,25 +396,25 @@ class Checker:
                       f"capture {y}: {pretty_type(t_i)} cannot be suspended "
                       "(viewpoint adaptation undefined)", u.pos)
             body_ctx[y] = adapted
-        body_ctx[binder] = self._binder_type(gamma, x, f, pos)
+        body_ctx[binder] = self.binder_type(gamma, x, f, pos)
         return body_ctx
 
-    def _binder_type(self, gamma: Gamma, x: str, f: str | None,
-                     pos: Pos) -> Type:
+    def binder_type(self, gamma: Gamma, x: str, f: str | None,
+                    pos: Pos) -> Type:
         """The binder's type on entry, from the target's type in gamma:
         tmp Cell[mut t_f] for a field x.f, var Cell[mut t_f] (over each
         leaf) for a var cell x, where t_f is the iso the target holds."""
         rule = "cmd-ty-enter-var" if f is None else "cmd-ty-enter"
         t_x = self.lookup(gamma, x, rule, pos)
         if f is None:
-            if not cap_in({Cap.VAR}, t_x):
+            if not self.is_var(t_x):
                 _fail(rule, f"enter target {x}: {pretty_type(t_x)} must be a "
                             "var binding", pos)
             t_f = fresult_keep_iso(t_x, "val", self.classes)
             if t_f is None:
                 _fail(rule, f"content of {x}: {pretty_type(t_x)} is undefined",
                       pos)
-            if not cap_in({Cap.ISO}, t_f):
+            if not self.enters(t_f):
                 _fail(rule, f"cell content capability must be iso, {x} holds "
                             f"{pretty_type(t_f)}", pos)
             return make_cell(make_mut(t_f))
@@ -393,7 +425,7 @@ class Checker:
         if t_f is None:
             _fail(rule, f"{x}.{f} is undefined through {pretty_type(t_x)}",
                   pos)
-        if not cap_in({Cap.ISO}, t_f):
+        if not self.enters(t_f):
             _fail(rule, f"field capability must be iso, {x}.{f} is "
                         f"{pretty_type(t_f)}", pos)
         return CapType(Cap.TMP, CellHead(make_mut(t_f)))
@@ -407,12 +439,12 @@ class Checker:
         cell's binder is still a var Cell, whose mut contents the target
         then holds as iso, written into gamma, which is returned."""
         rule = "cmd-ty-enter-var" if f is None else "cmd-ty-enter"
-        if not cap_in({Cap.ISO, Cap.IMM}, t_body):
+        if not self.exits(t_body):
             _fail(rule, f"the block may only return iso's and imm's, got "
                         f"{pretty_type(t_body)}", pos)
         t_z = g_out.get(binder)
         if f is not None:
-            if t_z != self._binder_type(gamma, x, f, pos):
+            if t_z != self.binder_type(gamma, x, f, pos):
                 _fail(rule, f"the binding of {binder} must be unchanged at "
                             "the end of the block", pos)
             return gamma
@@ -426,7 +458,7 @@ class Checker:
                             f"got {pretty_type(t_z)}", pos)
             p = leaf.head.param
             contents = p if contents is None else UnionType(contents, p)
-        if not cap_in({Cap.MUT}, contents):
+        if not self.bridges(contents):
             _fail(rule, f"the final content of {binder} must be mut, got "
                         f"{pretty_type(contents)}", pos)
         gamma[x] = make_cell(make_iso(contents))

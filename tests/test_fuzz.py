@@ -3,18 +3,19 @@ import pytest
 
 from dataclasses import replace
 
-from reggio import fuzz
+from reggio import cli, fuzz
 from reggio.command import TandemRunner, Verdict
 from reggio.fuzz import (CampaignResult, GenConfig, _Tree, _unused_sites,
                          _rebuild, _used_decls, campaign, generate, shrink,
                          soundness_run)
 from reggio.machine import KNOWN_BUGS
-from reggio.model import Cap, ClassName, leaves
+from reggio.model import Cap, ClassName, FunctionTable, cap_not_in, leaves
 from reggio.syntax import (Assign, Call, Deref, Enter, Freeze, Let, LVal,
                            Merge, New, TypeTest, Use, VarAlloc, parse_program,
                            parse_type, pretty_expr, pretty_program, rebuild,
                            walk)
-from reggio.typecheck import TypeCheckError, check_program
+from reggio.typecheck import (Checker, Diagnostic, TypeCheckError,
+                              check_program)
 
 
 def _count(e, kind) -> int:
@@ -53,20 +54,84 @@ def test_generation_needs_no_whole_program_check(monkeypatch):
 
 
 def test_menu_always_offers_a_constructor_argument():
-    # Each field has a class-headed leaf that an iso constructor can take
-    # (iso or imm) and one that any other can (mut, imm or iso), so every
-    # class can be built; and no class has two fields with an iso leaf, so
-    # a drawn drop is taken by the next statement the generator emits.
+    # Asks the premises the generator draws through.  Every leaf of a field
+    # names a class, and for each capability new takes, cmd-ty-new takes
+    # some leaf of each field, so every class can be built.  No class has
+    # two fields with a leaf that cmd-ty-use-keep cannot keep, so a drawn
+    # drop is taken by the next statement the generator emits.
+    checker = Checker(fuzz._menu_classes(), FunctionTable())
     for cls, fields in fuzz._MENU:
-        isos = 0
+        drops = 0
         for fname, src in fields:
-            heads = [lf for lf in leaves(parse_type(src))
-                     if isinstance(lf.head, ClassName)]
-            assert any(lf.cap in (Cap.ISO, Cap.IMM) for lf in heads), fname
-            assert any(lf.cap in (Cap.MUT, Cap.IMM, Cap.ISO)
-                       for lf in heads), fname
-            isos += any(lf.cap is Cap.ISO for lf in heads)
-        assert isos <= 1, cls
+            lfs = list(leaves(parse_type(src)))
+            assert all(isinstance(lf.head, ClassName) for lf in lfs), fname
+            for cap in (Cap.MUT, Cap.TMP, Cap.ISO):
+                assert any(checker.new_arg(cap, lf) for lf in lfs), (
+                    cls, fname, cap)
+            drops += any(not checker.keeps(lf) for lf in lfs)
+        assert drops <= 1, cls
+
+
+def test_a_generator_fault_raises_from_the_one_attempt(monkeypatch, capsys):
+    # A rule that refuses a generated statement means the generator drew
+    # what the rules do not allow: generate builds the program once and
+    # raises, and reggio fuzz reports it as an internal error.
+    attempts = []
+    program = fuzz._Gen.program
+
+    def counted(gen):
+        attempts.append(gen)
+        return program(gen)
+
+    def refuse(self, gamma, e, adjacent=frozenset()):
+        raise TypeCheckError(Diagnostic("cmd-ty-new", "refused", (0, 0)))
+
+    monkeypatch.setattr(fuzz._Gen, "program", counted)
+    monkeypatch.setattr(Checker, "check_expr", refuse)
+    with pytest.raises(TypeCheckError):
+        generate(GenConfig(seed=3))
+    assert len(attempts) == 1
+    assert cli.main(["fuzz", "--seeds", "1"]) == cli.EXIT_INTERNAL
+    assert "internal error" in capsys.readouterr().err
+
+
+# Single-rule weakenings of the checker (ROADMAP item 14's faults, and one
+# of cmd-ty-assign-var-adjacent), each a patch of the premise that the rule
+# calls and the generator draws through, with the rules by which the
+# shipped checker rejects the weakened form.  deref-iso-receiver has no
+# row: fresult already refuses a read through an iso, so weakening the
+# receiver premise changes nothing.
+_FAULTS = {
+    "use-keep-iso": ("keeps", lambda self, t: cap_not_in({Cap.VAR}, t),
+                     {"cmd-ty-use-keep"}),
+    "freeze-any": ("freezes", lambda self, t: True, {"cmd-ty-freeze"}),
+    "new-iso-any-arg": ("new_arg", lambda self, cap, t_a: True,
+                        {"cmd-ty-new"}),
+    "assign-any-receiver": ("writes_through", lambda self, t_x: True,
+                            {"cmd-ty-assign"}),
+    "exit-any-result": ("exits", lambda self, t: True,
+                        {"cmd-ty-enter", "cmd-ty-enter-var"}),
+    "assign-var-adjacent-any": ("bridges", lambda self, t_u: True,
+                                {"cmd-ty-assign-var-adjacent"}),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(_FAULTS))
+def test_a_weakened_rule_reaches_the_generated_programs(fault):
+    # The generator draws operands through the checker's own premises, so
+    # under a weakened rule it generates, within seeds 0-199, a program
+    # that the shipped rules reject by that rule.
+    premise, weak, rules = _FAULTS[fault]
+    for seed in range(200):
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(Checker, premise, weak)
+            prog = generate(GenConfig(seed=seed, max_depth=8))
+        try:
+            check_program(prog)
+        except TypeCheckError as exc:
+            assert exc.diagnostic.rule in rules, (seed, exc)
+            return
+    pytest.fail(f"no program of seeds 0-199 reaches {fault}")
 
 
 def test_generation_is_deterministic():

@@ -281,12 +281,6 @@ def test_exit_context_var_form_writes_the_context_it_is_given():
 
 # -- properties over generated programs ----------------------------------------
 
-@pytest.mark.parametrize("seed", range(30))
-def test_generated_programs_typecheck(seed):
-    prog = generate(GenConfig(seed=seed))
-    check_program(prog)  # must not raise
-
-
 @pytest.mark.parametrize("seed", range(15))
 def test_alpha_conversion_preserves_type(seed):
     prog = generate(GenConfig(seed=seed))
