@@ -6,15 +6,15 @@ for a small language with six reference capabilities and LIFO region
 stacks.
 """
 from .model import Cap, CapType, CellHead, ClassName, UnionType, vpa
-from .syntax import parse_expr, parse_program, parse_type
+from .syntax import desugar_program, parse_expr, parse_program, parse_type
 from .typecheck import TypeCheckError, check_program
-from .command import TandemRunner, Verdict, desugar_program
+from .command import TandemRunner, Verdict
 
 __all__ = [
     "Cap", "CapType", "CellHead", "ClassName", "UnionType", "vpa",
-    "parse_expr", "parse_program", "parse_type",
+    "desugar_program", "parse_expr", "parse_program", "parse_type",
     "TypeCheckError", "check_program",
-    "TandemRunner", "Verdict", "desugar_program",
+    "TandemRunner", "Verdict",
 ]
 
 __version__ = "0.1.0"

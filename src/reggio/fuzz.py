@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 from .command import Snapshot, TandemRunner, Verdict
-from .model import (Cap, CapType, CellHead, ClassName, ClassTable, FunSig,
+from .model import (Cap, CapType, ClassName, ClassTable, FunSig,
                     FunctionTable, Type, cap_in, leaves)
 from .syntax import (Assign, Call, Deref, Enter, Expr, Freeze, Let, LVal,
                      Merge, New, Program, TypeTest, Use, VarAlloc,
@@ -104,9 +104,11 @@ class _Gen:
 
     A production filters its operands by the rule that types them: by the
     premise methods the rule calls (Checker.keeps, ...) or by a trial of
-    the rule (_holds).  Drawing less than a rule allows is a policy, named
-    where it is made.  One holds throughout: receivers, targets and cell
-    contents have one leaf, whose head gives the field or class."""
+    the rule (_holds).  A freeze, merge or block result never drops the
+    enter-var binder (scope.adjacent), which the exit rule needs bound.
+    Drawing less than a rule allows is a policy, named where it is made.
+    One holds throughout: receivers, targets and cell contents have one
+    leaf, whose head gives the field or class."""
 
     # The menu's table, built once: no program's table changes after it.
     menu: Optional[ClassTable] = None
@@ -199,7 +201,8 @@ class _Gen:
 
     def p_freeze(self, scope: _Scope, merge: bool = False) -> bool:
         takes = self.checker.merges if merge else self.checker.freezes
-        names = [n for n, t in scope.env.items() if takes(t)]
+        names = [n for n, t in scope.env.items()
+                 if n not in scope.adjacent and takes(t)]
         if names:
             u = self._use(scope, self.rng.choice(names))
         else:
@@ -269,9 +272,8 @@ class _Gen:
         return True
 
     def p_typetest(self, scope: _Scope) -> bool:
-        # Policy, until ROADMAP item 13 is mended: a value is tested at its
-        # own capability.  The rule binds the then-branch at any tested one,
-        # which the value may lack, and the campaign would trip on that.
+        # Policy: a value is tested at its own capability.  A one-leaf value
+        # tested at another capability always takes the else branch.
         cands = [(n, t) for n, t in scope.env.items()
                  if type(t) is CapType and isinstance(t.head, ClassName)
                  and self.checker.keeps(t)]
@@ -327,7 +329,7 @@ class _Gen:
 
     def _body_result(self, scope: _Scope) -> tuple[Use, Type]:
         results = [(n, self.checker.keeps(t)) for n, t in scope.env.items()
-                   if self.checker.exits(t)]
+                   if n not in scope.adjacent and self.checker.exits(t)]
         kept = [n for n, keep in results if keep]
         if kept and self.rng.random() < 0.5:
             u = Use(self.rng.choice(kept))
@@ -672,60 +674,29 @@ class _Tree:
         captures.sort()
 
 
-def _used_decls(prog: Program) -> tuple[list[str], list[str]]:
-    classes: set[str] = set()
-    fns: set[str] = set()
-
-    def types_of(t: Type) -> None:
-        for lf in leaves(t):
-            if isinstance(lf.head, CellHead):
-                types_of(lf.head.param)
-            else:
-                classes.add(lf.head.name)
-
-    def decls_in(e: Expr) -> None:
-        for x, _, _, k in walk(e):
-            if isinstance(x, New):
-                classes.add(x.cls)
-            elif isinstance(x, Call):
-                fns.add(x.fn)
-            elif isinstance(x, TypeTest) and k == 0:
-                types_of(x.ty)
-
-    decls_in(prog.main)
-    # Called functions call more functions: scan until no new callee.
-    scanned: set[str] = set()
-    while todo := [f for f in prog.fn_order
-                   if f in fns and f not in scanned]:
-        for fname in todo:
-            scanned.add(fname)
-            sig = prog.functions.lookup(fname)
-            for _, t in sig.params:
-                types_of(t)
-            types_of(sig.result)
-            decls_in(sig.body)
-    # Fields of used classes pull in more classes, transitively.
-    done: set[str] = set()
-    while todo := classes - done:
-        for cname in todo:
-            done.add(cname)
-            if cname in prog.classes:
-                for _f, t in prog.classes.ftypes(ClassName(cname)):
-                    types_of(t)
-    kept_c = [c for c in prog.class_order if c in classes]
-    kept_f = [f for f in prog.fn_order if f in fns]
-    return kept_c, kept_f
-
-
-def _rebuild(prog: Program, main: Expr) -> Program:
-    kept_c, kept_f = _used_decls(replace(prog, main=main))
-    table = ClassTable()
-    for c in kept_c:
-        table.declare(c, list(prog.classes.ftypes(ClassName(c))))
-    funcs = FunctionTable()
-    for f in kept_f:
-        funcs.declare(f, prog.functions.lookup(f))
-    return Program(table, funcs, main, kept_c, kept_f)
+def _prune_decls(prog: Program) -> Program:
+    """prog without each class and function declaration that check_program
+    accepts it without.  A pass tries the declarations from the last to
+    the first, so one that only later ones use goes in the same pass;
+    passes repeat while one removes something."""
+    decls = [(c, prog.classes.ftypes(ClassName(c))) for c in prog.class_order]
+    decls += [(f, prog.functions.lookup(f)) for f in prog.fn_order]
+    pruned = True
+    while pruned:
+        pruned = False
+        for i in reversed(range(len(decls))):
+            rest = decls[:i] + decls[i + 1:]
+            cand = Program(ClassTable(), FunctionTable(), prog.main)
+            for name, d in rest:
+                fn = type(d) is FunSig
+                (cand.functions if fn else cand.classes).declare(name, d)
+                (cand.fn_order if fn else cand.class_order).append(name)
+            try:
+                check_program(cand)
+            except TypeCheckError:
+                continue
+            prog, decls, pruned = cand, rest, True
+    return prog
 
 
 def shrink(prog: Program, budget: int, bugs: frozenset[str]) -> Program:
@@ -735,7 +706,8 @@ def shrink(prog: Program, budget: int, bugs: frozenset[str]) -> Program:
 
     Only programs that have type checked are run.  Candidates keep the
     declarations, which neither type checking nor a run reads unless main
-    names them; the unused ones are pruned once, from the result.
+    names them; the result drops each one that check_program accepts it
+    without (_prune_decls).
 
     A candidate differs from the current program only at its edit: one
     let or capture removed.  Control moves forward through main in
@@ -770,7 +742,7 @@ def shrink(prog: Program, budget: int, bugs: frozenset[str]) -> Program:
                 tree.add_freed_sites()
                 progress = True
                 break
-    return _rebuild(current, current.main)
+    return _prune_decls(current)
 
 
 # ---------------------------------------------------------------------------

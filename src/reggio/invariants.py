@@ -6,9 +6,10 @@ rules (typecheck.Checker), so the two cannot drift apart: an enter opens
 its block through Checker.enter_context and an exit leaves it through
 Checker.exit_context, as the checker's own enter rules do.
 
-The oracle is deliberately brute force: the graph is rebuilt from scratch
-and the topology predicate is checked over all its refs.  It is the
-executable spec; each-step runs first try a fast path (Fragments) that
+The oracle is deliberately brute force: the graph is rebuilt from scratch,
+the topology predicate is checked over all its refs, and frame typing
+finds each object by the machine's own lookup (Machine.cfg_load).  It is
+the executable spec; each-step runs first try a fast path (Fragments) that
 re-checks only the frames and region stores a step touched, through the
 same extraction functions and per-ref clauses, and falls back to the spec
 for any configuration it does not pass.  Violation reports are plain
@@ -18,8 +19,8 @@ regions}]} so they serialize directly to JSON.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Optional
+from functools import lru_cache, partial
+from typing import Callable, Optional
 
 from .model import (Cap, CapType, ClassTable, FunctionTable, Type, cap_in,
                     leaves, tag_matches)
@@ -433,9 +434,9 @@ def check_config_wf(gammas: Optional[list[Gamma]], m: Machine,
                 "wf-rs-cons", "context stack height differs from region "
                 "stack height", [], stack_ids))
         else:
-            objects = _objects_by_id(m)
+            load = partial(m.cfg_load, states=STATES)
             for gamma, frame in zip(gammas, m.frames):
-                _check_frame_typing(gamma, frame, objects, violations)
+                _check_frame_typing(gamma, frame, load, violations)
     try:
         g = build_graph(m)
     except GraphError as exc:
@@ -673,7 +674,7 @@ class Fragments:
             if (i < len(old_gammas) and old_gammas[i] is gamma
                     and ~frame.r not in touched):
                 continue
-            _check_frame_typing(gamma, frame, objects, violations)
+            _check_frame_typing(gamma, frame, objects.get, violations)
             if violations:
                 return False
         self.frames = frames[:]
@@ -758,21 +759,10 @@ class Fragments:
         return frag.out.get(loc, [])
 
 
-def _objects_by_id(m: Machine) -> dict[int, Object]:
-    """Every object of the configuration by id.  Where an id repeats, the
-    object is the one m.cfg_load finds first: the temps of the topmost
-    frame holding it, else the first store of the region table.  Later
-    updates win, so sources go in reverse."""
-    objects: dict[int, Object] = {}
-    for region in reversed(m.regions.values()):
-        objects.update(region.store)
-    for frame in m.frames:
-        objects.update(frame.temps)
-    return objects
-
-
-def _check_frame_typing(gamma: Gamma, frame, objects: dict[int, Object],
+def _check_frame_typing(gamma: Gamma, frame, load: Callable,
                         violations: list[dict]) -> None:
+    """Type frame's variables by gamma.  load(iota) is the object iota or
+    None: the spec's is Machine.cfg_load, the fast path's its own index."""
     for x, t in gamma.items():
         v = frame.vars.get(x)
         if t is UNDEF:
@@ -783,7 +773,7 @@ def _check_frame_typing(gamma: Gamma, frame, objects: dict[int, Object],
                 [frame.r]))
             continue
         cap, iota = v
-        obj = objects.get(iota)
+        obj = load(iota)
         if obj is None:
             violations.append(_violation(
                 "wf-vars", f"variable {x} dangles ({iota})", [], [frame.r]))

@@ -352,14 +352,16 @@ class Machine:
         return self.closed_region_of(iota) is not None
 
     def cast_matches(self, name: str, ty) -> bool:
-        """True iff the dynamic tag of the value bound to name subtags ty."""
+        """True iff some leaf of ty has the capability of the value bound to
+        name and a head its object's dynamic tag matches."""
         v = self.frames[-1].vars.get(name)
         if v is V_UNDEF or v is None:
             raise Stuck(f"cast: variable {name} is not bound")
         obj = self.cfg_load(v[1], STATES)
         if obj is None:
             raise Stuck(f"cast: dangling object id {v[1]}")
-        return any(tag_matches(obj.tag, leaf.head) for leaf in leaves(ty))
+        return any(leaf.cap is v[0] and tag_matches(obj.tag, leaf.head)
+                   for leaf in leaves(ty))
 
     # -- stepping -----------------------------------------------------------------
 

@@ -1,5 +1,5 @@
-"""Concrete syntax: AST, traversal, lexer, recursive-descent parser,
-pretty-printer.
+"""Concrete syntax: AST, traversal, explore desugaring, lexer,
+recursive-descent parser, pretty-printer.
 
 Grammar sketch (programs live in `.rgo` files):
 
@@ -211,7 +211,7 @@ class Program:
 
 
 # ---------------------------------------------------------------------------
-# Traversal
+# Traversal, and the explore desugaring built on it
 # ---------------------------------------------------------------------------
 
 def children(e: Expr) -> tuple[Expr, ...]:
@@ -286,6 +286,50 @@ def rebuild(e: Expr, visit: Callable[[Expr, int], Expr]) -> Expr:
         return visit(node, index)
 
     return fold(e, leave)
+
+
+def desugar_explore(e: Enter) -> Enter:
+    """explore lv [ȳ=ū] { z => body } opens the target region suspended.
+
+    Desugars to entering the target normally and immediately entering a
+    throwaway region (a fresh var cell over a new iso Unit) on top of it;
+    the body then runs with the target suspended, seeing the bridge object
+    and every capture through the paused viewpoint.
+    """
+    pos = e.pos
+    outer_binder = e.binder + "~o"
+    outer_caps = tuple((y + "~o", u) for y, u in e.captures)
+    inner_caps = (tuple((y, Use(y + "~o", False, pos))
+                        for y, _ in e.captures)
+                  + ((e.binder, Use("v~x", False, pos)),))
+    inner = Enter(LVal("c~x", None, pos), inner_caps, "z~i", e.body,
+                  False, pos)
+    outer_body = Let(
+        "v~x", Deref(LVal(outer_binder, "val", pos), pos),
+        Let("t~x", New(Cap.ISO, "Unit", (), pos),
+            Let("c~x", VarAlloc(Use("t~x", True, pos), pos),
+                Let("r~x", inner, Use("r~x", True, pos), pos),
+                pos),
+            pos),
+        pos)
+    return Enter(e.target, outer_caps, outer_binder, outer_body, False, pos)
+
+
+def desugar(e: Expr) -> Expr:
+    """e with every explore desugared."""
+    return rebuild(e, lambda x, _: desugar_explore(x)
+                   if isinstance(x, Enter) and x.explore else x)
+
+
+def desugar_program(prog: Program) -> Program:
+    """prog with every explore desugared; prog itself is left as it is."""
+    functions = FunctionTable()
+    for fname in prog.functions.names():
+        sig = prog.functions.lookup(fname)
+        functions.declare(fname, FunSig(sig.params, sig.result,
+                                        desugar(sig.body)))
+    return Program(prog.classes, functions, desugar(prog.main),
+                   prog.class_order, prog.fn_order)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,8 @@ from .model import (Cap, CapType, CellHead, ClassName, ClassTable,
                     make_imm, make_iso, make_mut, map_leaves, subtype,
                     type_wf, vpa, vpa_type)
 from .syntax import (Assign, Call, Deref, Enter, Expr, Freeze, Let, Merge,
-                     New, Pos, Program, TypeTest, Use, VarAlloc, pretty_type)
+                     New, Pos, Program, TypeTest, Use, VarAlloc,
+                     desugar_explore, pretty_type)
 
 
 class _Undef:
@@ -466,7 +467,6 @@ class Checker:
 
     def _check_enter(self, gamma: Gamma, e: Enter) -> tuple[Type, Gamma]:
         if e.explore:
-            from .command import desugar_explore
             return self.check_expr(gamma, desugar_explore(e))
         x, f = e.target.name, e.target.fld
         body_ctx = self.enter_context(gamma, e.captures, e.binder, x, f,

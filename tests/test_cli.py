@@ -130,7 +130,7 @@ def test_trace_shows_the_violating_step_and_its_report():
 
 @pytest.mark.parametrize("name", [
     "listing1", "store_accept", "bridge_swap", "deep_freeze",
-    "merge_nested", "explore", "reenter_open"])
+    "merge_nested", "explore", "reenter_open", "typetest_cap"])
 def test_golden_traces(name):
     p = _cli("trace", f"corpus/{name}.rgo", "--invariant-check",
              "each-step")

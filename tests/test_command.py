@@ -5,15 +5,15 @@ from pathlib import Path
 import pytest
 
 from reggio import machine
-from reggio.command import (TandemRunner, Verdict, desugar_explore,
-                            desugar_program, replace, synth_effect)
+from reggio.command import TandemRunner, Verdict, replace, synth_effect
 from reggio.fuzz import GenConfig, generate
 from reggio.machine import (EFFECT_NAMES, BadEnter, Bind, CastEff, EnterEff,
                             Eps, ExitEff, FreezeEff, Halloc, Load, MergeEff,
                             NoCastEff, Salloc, Swap)
 from reggio.model import Cap, CapType, ClassName
 from reggio.syntax import (Assign, Deref, Enter, Freeze, LVal, Let, Merge,
-                           New, Use, VarAlloc, parse_program)
+                           New, Use, VarAlloc, desugar_explore,
+                           desugar_program, parse_program)
 from reggio.typecheck import check_program
 
 from subst_reference import FreshNames, alpha_rename
@@ -363,12 +363,44 @@ def test_corpus_each_step_verdicts():
         "merge_nested.rgo": Verdict.DONE,
         "explore.rgo": Verdict.DONE,
         "reenter_open.rgo": Verdict.FAILED,
+        "typetest_cap.rgo": Verdict.DONE,
     }
     for name, want in expected.items():
         prog = parse_program((CORPUS / name).read_text())
         check_program(prog)
         got = TandemRunner(prog, check="each-step").run().verdict
         assert got is want, name
+
+
+# The value u has type imm B | mut A, and is an imm B at run time; mut B
+# has capabilities of u's type, but the value does not have it.
+_TYPETEST_UNION = """class A { }
+class B { }
+let a = new mut A() in
+let bi = new iso B() in
+let b = freeze drop bi in
+let u = (if typetest(a, mut A) { t => b } else { t => t }) in
+let w = (if typetest(u, mut B) { s => s } else { s => s }) in
+w
+"""
+
+
+@pytest.mark.parametrize("src, casts", [
+    ((CORPUS / "typetest_cap.rgo").read_text(), [NoCastEff]),
+    (_TYPETEST_UNION, [CastEff, NoCastEff]),
+], ids=["tmp-at-mut", "imm-at-mut-in-union"])
+def test_a_type_test_at_a_capability_the_value_lacks_takes_else(src, casts):
+    # A type test checks the value's capability as well as its class, so
+    # its then-branch never binds a value at a capability it lacks: each
+    # run ends done under each-step checking, with no wf-ty report.
+    prog = parse_program(src)
+    check_program(prog)
+    seen = []
+    res = TandemRunner(prog, check="each-step",
+                       observer=lambda step, eff, ok: seen.append(eff)).run()
+    assert res.verdict is Verdict.DONE, res.report
+    assert [type(e) for e in seen if isinstance(e, (CastEff, NoCastEff))
+            ] == casts
 
 
 def test_observer_sees_every_effect():

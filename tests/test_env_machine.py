@@ -8,12 +8,12 @@ from pathlib import Path
 
 import pytest
 
-from reggio.command import (TandemRunner, Verdict, binder_count,
-                            desugar_program)
+from reggio.command import TandemRunner, Verdict, binder_count
 from reggio.fuzz import GenConfig, _Tree, _unused_sites, generate
 from reggio.machine import KNOWN_BUGS, effect_args, effect_name
 from reggio.model import Cap, ClassTable, FunctionTable
-from reggio.syntax import Let, New, Program, Use, parse_program, pretty_expr
+from reggio.syntax import (Let, New, Program, Use, desugar_program,
+                           parse_program, pretty_expr)
 from reggio.typecheck import check_program
 
 from subst_reference import SubstRunner

@@ -9,14 +9,14 @@ from pathlib import Path
 import pytest
 
 from reggio import invariants
-from reggio.command import TandemRunner, Verdict, desugar_program
+from reggio.command import TandemRunner, Verdict
 from reggio.fuzz import GenConfig, generate
 from reggio.invariants import Fragments, GraphError, Temp, check_config_wf
 from reggio.machine import (CLOSED, EFFECT_NAMES, FROZEN, KNOWN_BUGS,
                             V_UNDEF, Bind, EnterEff, Eps, FreezeEff, Halloc,
                             Machine, Object, Salloc, Swap)
 from reggio.model import Cap, ClassTable
-from reggio.syntax import Use, parse_program, parse_type
+from reggio.syntax import Use, desugar_program, parse_program, parse_type
 
 CORPUS = Path(__file__).parent.parent / "corpus"
 

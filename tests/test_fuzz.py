@@ -2,11 +2,12 @@
 import pytest
 
 from dataclasses import replace
+from pathlib import Path
 
 from reggio import cli, fuzz
 from reggio.command import TandemRunner, Verdict
-from reggio.fuzz import (CampaignResult, GenConfig, _Tree, _unused_sites,
-                         _rebuild, _used_decls, campaign, generate, shrink,
+from reggio.fuzz import (CampaignResult, GenConfig, _Tree, _prune_decls,
+                         _unused_sites, campaign, generate, shrink,
                          soundness_run)
 from reggio.machine import KNOWN_BUGS
 from reggio.model import Cap, ClassName, FunctionTable, cap_not_in, leaves
@@ -16,6 +17,8 @@ from reggio.syntax import (Assign, Call, Deref, Enter, Freeze, Let, LVal,
                            walk)
 from reggio.typecheck import (Checker, Diagnostic, TypeCheckError,
                               check_program)
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def _count(e, kind) -> int:
@@ -132,6 +135,18 @@ def test_a_weakened_rule_reaches_the_generated_programs(fault):
             assert exc.diagnostic.rule in rules, (seed, exc)
             return
     pytest.fail(f"no program of seeds 0-199 reaches {fault}")
+
+
+@pytest.mark.parametrize("fault", ["freeze-any", "exit-any-result"])
+def test_a_weakened_rule_never_draws_a_drop_of_the_enter_var_binder(fault):
+    # A weakened freeze or block result takes a var cell, but the generator
+    # never drops the enter-var binder, which the exit rule needs bound:
+    # every seed generates a program.
+    premise, weak, _ = _FAULTS[fault]
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(Checker, premise, weak)
+        for seed in range(200):
+            generate(GenConfig(seed=seed, max_depth=8))
 
 
 def test_generation_is_deterministic():
@@ -362,10 +377,14 @@ def test_incremental_sites_match_a_full_pass_in_the_hunts(monkeypatch):
     assert seen[0] > 500 and seen[1] > 0
 
 
+def _kept_decls(prog):
+    return prog.class_order, prog.fn_order
+
+
 def test_used_decls_follow_every_leaf_of_a_union():
     prog = parse_program("class A { f: iso Cell[mut A] | imm B }\n"
                          "class B { }\nlet a = new mut A() in a")
-    assert _used_decls(prog) == (["A", "B"], [])
+    assert _kept_decls(_prune_decls(prog)) == (["A", "B"], [])
 
 
 def test_used_decls_follow_a_callee_declared_earlier():
@@ -376,8 +395,44 @@ def test_used_decls_follow_a_callee_declared_earlier():
         "fn f(): mut B { let x = g() in let b = new mut B() in b } "
         "let c = f() in c")
     check_program(prog)
-    assert _used_decls(prog) == (["A", "B"], ["g", "f"])
-    check_program(_rebuild(prog, prog.main))
+    pruned = _prune_decls(prog)
+    assert _kept_decls(pruned) == (["A", "B"], ["g", "f"])
+    check_program(pruned)
+
+
+def test_pruning_drops_what_only_an_unused_declaration_names():
+    # C, used by nothing, is declared before D, which only C names: the
+    # first pass keeps D, which C still needs, and the second drops it.
+    prog = parse_program("class C { d: imm D } class D { } class A { }\n"
+                         "fn h(): mut A { let a = new mut A() in a }\n"
+                         "let a = new mut A() in a")
+    assert _kept_decls(_prune_decls(prog)) == (["A"], [])
+
+
+def test_pruning_keeps_a_cycle_of_unused_declarations():
+    # Neither class of the cycle type checks without the other, so neither
+    # can go first.  The generator's class menu has no cycle.
+    prog = parse_program("class C { d: imm D } class D { c: imm C }\n"
+                         "class A { }\nlet a = new mut A() in a")
+    assert _kept_decls(_prune_decls(prog)) == (["C", "D", "A"], [])
+
+
+def _without_decl(prog, name):
+    """prog's source without the declaration of name."""
+    kept = [ln for ln in pretty_program(prog).splitlines()
+            if not ln.startswith((f"class {name} ", f"fn {name}("))]
+    return "\n".join(kept)
+
+
+@pytest.mark.parametrize("bug", sorted(KNOWN_BUGS))
+def test_shrunk_witnesses_keep_only_declarations_they_need(bug):
+    # Each planted bug's shrunk witness type checks, and refuses to once
+    # any one of its declarations is removed.
+    prog = parse_program((GOLDEN / f"{bug}.witness").read_text())
+    check_program(prog)
+    for name in prog.class_order + prog.fn_order:
+        with pytest.raises(TypeCheckError):
+            check_program(parse_program(_without_decl(prog, name)))
 
 
 _EXIT_KEEP_TEMPS = frozenset({"exit-keep-temps"})

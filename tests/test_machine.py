@@ -179,6 +179,18 @@ def test_load_reads_fields():
         m.step_effect(Load("z", "h", "h"))
 
 
+def test_cast_matches_the_capability_and_the_class():
+    # A cast needs one leaf that has both the value's capability and a
+    # head matching its class, as frame typing does.
+    m = _machine()
+    m.step_effect(Salloc("t", Cap.TMP, "C", ()))
+    m.step_effect(Halloc("x", Cap.MUT, "C", ()))
+    assert not m.cast_matches("t", parse_type("mut C"))
+    assert m.cast_matches("t", parse_type("tmp C"))
+    assert not m.cast_matches("x", parse_type("imm C | mut H"))
+    assert m.cast_matches("x", parse_type("imm C | mut C"))
+
+
 def test_bind_and_stuck_on_unbound():
     m = _machine()
     m.step_effect(Halloc("x", Cap.MUT, "C", ()))

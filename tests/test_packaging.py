@@ -1,4 +1,5 @@
-"""The runtime keeps no dependencies outside the standard library."""
+"""The runtime keeps no dependencies outside the standard library, and
+the package imports its own modules at the top of each module."""
 import ast
 import re
 import sys
@@ -99,6 +100,51 @@ def test_no_dead_module_level_definitions():
                for n, line in _module_level_names(tree).items()]
     assert len(defined) > 100, "the scan is vacuous"
     assert [where for where, n in defined if n not in read] == []
+
+
+# The package's imports of its own modules made inside a function, as
+# (file, function, module), each with the reason it is made there.
+_TRACED = ("perfbench/tracer.py wraps invariants.check_effect_wf and "
+           "check_config_wf on their module, which an import at call time "
+           "reads and a top-level one would not")
+_FUNCTION_LEVEL_IMPORTS = {
+    ("cli.py", "cmd_fuzz", "fuzz"):
+        "only `reggio fuzz` loads the generator and its harness",
+    ("command.py", "run", "invariants"): _TRACED,
+    ("command.py", "_end", "invariants"): _TRACED,
+}
+
+
+def _function_level_imports(tree: ast.Module) -> list[tuple[str, str]]:
+    """(function, module) for each import of a reggio module inside a
+    function, by the innermost function that holds it."""
+    found = []
+    stack = [(node, None) for node in tree.body]
+    while stack:
+        node, fn = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            fn = node.name
+        elif fn is not None and isinstance(node, ast.ImportFrom):
+            if node.level:
+                found.append((fn, node.module or "."))
+            elif node.module.split(".")[0] == "reggio":
+                found.append((fn, node.module))
+        elif fn is not None and isinstance(node, ast.Import):
+            found += [(fn, a.name) for a in node.names
+                      if a.name.split(".")[0] == "reggio"]
+        stack += [(child, fn) for child in ast.iter_child_nodes(node)]
+    return found
+
+
+def test_no_function_level_imports_of_the_package():
+    """A module imports the package's modules at its top, so an import
+    cycle shows when the package loads; the exceptions are listed with
+    their reasons, and each of them is still made."""
+    found = {(path.name, fn, module)
+             for path in sorted((ROOT / "src" / "reggio").glob("*.py"))
+             for fn, module in _function_level_imports(
+                 ast.parse(path.read_text(), str(path)))}
+    assert found == set(_FUNCTION_LEVEL_IMPORTS)
 
 
 def test_pyproject_declares_no_dependencies():
